@@ -8,24 +8,26 @@
 //                    [--report-fraction 0.3] [--threads 0]
 //                    [--min-speedup 0] [--json BENCH_adapt.json]
 //
-// Both servers replay one precomputed update stream with a growing CQ
-// workload (--query-growth new queries between adaptations):
+// Both arms replay one precomputed update stream with a growing CQ workload
+// (--query-growth new queries between adaptations):
 //
-//   reference  columnar_rebuild = false (scalar per-node stats walk), and
-//              InstallQueries() before every Adapt() -- the pre-§13
-//              behavior, where any workload change recounted all m queries.
-//   optimized  the defaults: columnar stats rebuild with the velocity
-//              cache, append-only query count deltas, and (--threads > 1)
-//              a worker pool for the stats chunks, quad levels, and
-//              GRIDREDUCE waves.
+//   reference  the pre-§13 pipeline, assembled from a position tracker,
+//              the test oracle's scalar per-node statistics walk
+//              (tests/oracle/scalar_stats_walk.h), a full recount of all m
+//              queries before every plan build, and the server's
+//              OptimizerStage -- serial throughout.
+//   optimized  a CqServer with the defaults: columnar stats rebuild with
+//              the velocity cache, append-only query count deltas, and
+//              (--threads > 1) a worker pool for the stats chunks, quad
+//              levels, and GRIDREDUCE waves.
 //
-// The phases the two configurations share (quad build, GRIDREDUCE, greedy)
-// run the same code, so the printed speedup *understates* the win over the
-// pre-§13 tree (whose greedy solver also allocated per call). After both
-// runs the stats grids and plans are compared bitwise in-process, and each
-// run prints a state_hash line (FNV-1a over grid cells and plan regions)
-// that CI greps and compares across --threads values: the hash, like the
-// plan, must not depend on the worker count.
+// The phases the two arms share (quad build, GRIDREDUCE, greedy) run the
+// same code, so the printed speedup *understates* the win over the pre-§13
+// tree (whose greedy solver also allocated per call). After both runs the
+// stats grids and plans are compared bitwise in-process, and each run
+// prints a state_hash line (FNV-1a over grid cells and plan regions) that
+// CI greps and compares across --threads values: the hash, like the plan,
+// must not depend on the worker count.
 
 #include <chrono>
 #include <cstdint>
@@ -41,6 +43,7 @@
 #include "lira/motion/update_reduction.h"
 #include "lira/server/cq_server.h"
 #include "lira/telemetry/telemetry.h"
+#include "oracle/scalar_stats_walk.h"
 
 namespace lira {
 namespace {
@@ -70,9 +73,8 @@ uint64_t HashRect(uint64_t h, const Rect& r) {
 /// FNV-1a over every grid cell (node count, mean speed, query count) and
 /// every plan region (area, delta, stats) -- the complete adaptation
 /// output. Bitwise: any FP difference anywhere changes the hash.
-uint64_t StateHash(const CqServer& server) {
+uint64_t StateHash(const StatisticsGrid& grid, const SheddingPlan& plan) {
   uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  const StatisticsGrid& grid = server.stats();
   for (int32_t iy = 0; iy < grid.alpha(); ++iy) {
     for (int32_t ix = 0; ix < grid.alpha(); ++ix) {
       h = HashDouble(h, grid.NodeCount(ix, iy));
@@ -80,7 +82,6 @@ uint64_t StateHash(const CqServer& server) {
       h = HashDouble(h, grid.QueryCount(ix, iy));
     }
   }
-  const SheddingPlan& plan = server.plan();
   h = HashU64(h, static_cast<uint64_t>(plan.NumRegions()));
   for (const SheddingRegion& region : plan.regions()) {
     h = HashRect(h, region.area);
@@ -239,89 +240,125 @@ int main(int argc, char** argv) {
       "%d rounds, %d worker threads\n\n",
       nodes, num_queries, query_growth, alpha, l, rounds, pool_threads);
 
-  struct Config {
-    const char* label;
-    bool columnar;
-    bool reinstall_queries;  // pre-§13: workload change = full recount
-    ThreadPool* pool;
-  };
-  const Config configs[2] = {
-      {"reference", false, true, nullptr},
-      {"optimized", true, false, &pool},
-  };
+  const char* const labels[2] = {"reference", "optimized"};
   telemetry::TelemetrySink sinks[2];
   RunResult results[2];
 
-  for (int c = 0; c < 2; ++c) {
-    const Config& cfg = configs[c];
-    // Rebuild the query stream: both servers must see the identical
-    // registry growth schedule, so the registry is regenerated from the
-    // same seed for each run (same object, so the pointer stays valid).
+  CqServerConfig server_config;
+  server_config.num_nodes = nodes;
+  server_config.world = world;
+  server_config.alpha = alpha;
+  server_config.queue_capacity = static_cast<size_t>(nodes) + 1;
+  server_config.service_rate = static_cast<double>(nodes);
+  server_config.adaptation_period = 1e9;  // every Adapt() explicit
+  server_config.fixed_z = 0.5;
+  server_config.maintain_index = false;
+
+  // Both arms must see the identical registry growth schedule, so each run
+  // regenerates the registry from the same seed (same object, so pointers
+  // into it stay valid).
+  auto reset_queries = [&] {
     queries = QueryRegistry();
     query_rng = Rng(7);
     add_queries(num_queries);
+  };
 
-    CqServerConfig server_config;
-    server_config.num_nodes = nodes;
-    server_config.world = world;
-    server_config.alpha = alpha;
-    server_config.queue_capacity = static_cast<size_t>(nodes) + 1;
-    server_config.service_rate = static_cast<double>(nodes);
-    server_config.adaptation_period = 1e9;  // every Adapt() explicit
-    server_config.fixed_z = 0.5;
-    server_config.maintain_index = false;
-    server_config.columnar_rebuild = cfg.columnar;
-    server_config.telemetry = &sinks[c];
-    server_config.pool = cfg.pool;
-    auto server =
-        CqServer::Create(server_config, &policy, &*reduction, &queries);
-    if (!server.ok()) {
-      std::fprintf(stderr, "CqServer::Create(%s): %s\n", cfg.label,
-                   server.status().ToString().c_str());
+  // Reference arm. The server's ingest stage would shuffle each batch and
+  // serve all of it in the one-second tick (capacity and service rate both
+  // cover a full batch, one report per node), so applying the batch in
+  // order leaves the same tracker state.
+  {
+    reset_queries();
+    CqServerConfig config = server_config;
+    config.telemetry = &sinks[0];
+    auto walk = oracle::ScalarStatsWalk::Create(world, alpha, nodes);
+    auto optimizer = OptimizerStage::Create(ServerOptimizerConfig(config),
+                                            world, reduction->delta_min());
+    if (!walk.ok() || !optimizer.ok()) {
+      std::fprintf(stderr, "reference arm: %s\n",
+                   (!walk.ok() ? walk.status() : optimizer.status())
+                       .ToString()
+                       .c_str());
       return 1;
     }
-
-    std::vector<ModelUpdate> scratch;
-    scratch = batches[0];
-    server->ReceiveBatch(&scratch);
-    if (auto s = server->Tick(1.0); !s.ok()) {
-      std::fprintf(stderr, "Tick: %s\n", s.ToString().c_str());
-      return 1;
+    PositionTracker tracker(nodes);
+    const double margin = QueryMargin(config, *reduction);
+    auto adapt = [&](double now) {
+      telemetry::ScopedTimer total(&sinks[0], "lira.adapt.total_seconds",
+                                   now);
+      optimizer->FixedThrottle(now);
+      {
+        telemetry::ScopedTimer stats(&sinks[0],
+                                     "lira.adapt.stats_rebuild_seconds", now);
+        walk->RebuildAll(tracker, now);
+        telemetry::ScopedTimer query(&sinks[0],
+                                     "lira.adapt.query_rebuild_seconds", now);
+        walk->mutable_grid()->ClearQueries();
+        walk->mutable_grid()->AddQueries(queries, margin);
+      }
+      return optimizer->BuildPlan(policy, walk->grid(), *reduction, now);
+    };
+    for (const ModelUpdate& u : batches[0]) {
+      tracker.Apply(u);
     }
-    if (auto s = server->Adapt(); !s.ok()) {  // warmup adapt, untimed
+    if (auto s = adapt(1.0); !s.ok()) {  // warmup adapt, untimed
       std::fprintf(stderr, "Adapt: %s\n", s.ToString().c_str());
       return 1;
     }
-
-    double adapt_seconds = 0.0;
     for (int32_t r = 1; r <= rounds; ++r) {
+      for (const ModelUpdate& u : batches[r]) {
+        tracker.Apply(u);
+      }
+      add_queries(query_growth);
+      const auto t0 = std::chrono::steady_clock::now();
+      if (auto s = adapt(1.0 + r); !s.ok()) {
+        std::fprintf(stderr, "Adapt: %s\n", s.ToString().c_str());
+        return 1;
+      }
+      results[0].adapt_seconds +=
+          Seconds(t0, std::chrono::steady_clock::now());
+    }
+    results[0].state_hash = StateHash(walk->grid(), optimizer->plan());
+  }
+
+  // Optimized arm: the production server.
+  {
+    reset_queries();
+    CqServerConfig config = server_config;
+    config.telemetry = &sinks[1];
+    config.pool = &pool;
+    auto server = CqServer::Create(config, &policy, &*reduction, &queries);
+    if (!server.ok()) {
+      std::fprintf(stderr, "CqServer::Create: %s\n",
+                   server.status().ToString().c_str());
+      return 1;
+    }
+    std::vector<ModelUpdate> scratch;
+    for (int32_t r = 0; r <= rounds; ++r) {
       scratch = batches[r];
       server->ReceiveBatch(&scratch);
       if (auto s = server->Tick(1.0); !s.ok()) {
         std::fprintf(stderr, "Tick: %s\n", s.ToString().c_str());
         return 1;
       }
-      add_queries(query_growth);
-      if (cfg.reinstall_queries) {
-        if (auto s = server->InstallQueries(&queries); !s.ok()) {
-          std::fprintf(stderr, "InstallQueries: %s\n",
-                       s.ToString().c_str());
-          return 1;
-        }
+      if (r > 0) {
+        add_queries(query_growth);
       }
       const auto t0 = std::chrono::steady_clock::now();
       if (auto s = server->Adapt(); !s.ok()) {
         std::fprintf(stderr, "Adapt: %s\n", s.ToString().c_str());
         return 1;
       }
-      adapt_seconds += Seconds(t0, std::chrono::steady_clock::now());
+      if (r > 0) {  // round 0 is the untimed warmup
+        results[1].adapt_seconds +=
+            Seconds(t0, std::chrono::steady_clock::now());
+      }
     }
-    results[c].adapt_seconds = adapt_seconds;
-    results[c].state_hash = StateHash(*server);
+    results[1].state_hash = StateHash(server->stats(), server->plan());
   }
 
-  std::printf("%-32s %14s %14s\n", "phase (seconds, summed)",
-              configs[0].label, configs[1].label);
+  std::printf("%-32s %14s %14s\n", "phase (seconds, summed)", labels[0],
+              labels[1]);
   for (const char* phase : kPhases) {
     std::printf("%-32s %14.4f %14.4f\n", phase + sizeof("lira.adapt.") - 1,
                 PhaseTotal(sinks[0], phase), PhaseTotal(sinks[1], phase));
@@ -333,7 +370,7 @@ int main(int argc, char** argv) {
       (results[1].adapt_seconds > 0.0 ? results[1].adapt_seconds : 1e-12);
   std::printf("\nreference / optimized adapt time: %.2fx\n", speedup);
   for (int c = 0; c < 2; ++c) {
-    std::printf("state_hash[%s]: %016llx\n", configs[c].label,
+    std::printf("state_hash[%s]: %016llx\n", labels[c],
                 static_cast<unsigned long long>(results[c].state_hash));
   }
   if (results[0].state_hash != results[1].state_hash) {
@@ -352,7 +389,7 @@ int main(int argc, char** argv) {
   export_.SetConfig("report_fraction", report_fraction);
   export_.SetConfig("threads", pool_threads);
   for (int c = 0; c < 2; ++c) {
-    const std::string prefix = std::string(configs[c].label) + ".";
+    const std::string prefix = std::string(labels[c]) + ".";
     export_.SetMetric(prefix + "adapt_seconds", results[c].adapt_seconds);
     for (const char* phase : kPhases) {
       const char* short_name = phase + sizeof("lira.adapt.") - 1;

@@ -10,7 +10,6 @@
 //           [--trace out.json] [--flight out.json]
 //           [--health out.jsonl] [--health-stride 60]
 //           [--threads N] [--shards S] [--rebalance R]
-//           [--incremental | --no-incremental]
 //
 // --threads sets the simulation engine's worker count (0 = hardware
 // concurrency, 1 = fully serial); results are identical for any value.
@@ -18,9 +17,6 @@
 // monolithic server (0, the default); S = 1 is bitwise identical to 0.
 // --rebalance R re-splits the cluster's shard strips from observed load
 // every R adaptation windows (requires --shards >= 1; 0 = static map).
-// --no-incremental forces the original recompute-everything accuracy and
-// statistics paths (incremental is the default); results are bitwise
-// identical either way, only wall-clock time changes.
 //
 // Example: explore --policy Lira --z 0.4 --l 100 --fairness 25 --history
 //
@@ -62,8 +58,7 @@ namespace {
       "          [--seed S] [--telemetry PATH] [--telemetry-stride K]\n"
       "          [--trace PATH] [--flight PATH]\n"
       "          [--health PATH] [--health-stride K]\n"
-      "          [--threads N] [--shards S] [--rebalance R]\n"
-      "          [--incremental | --no-incremental]\n",
+      "          [--threads N] [--shards S] [--rebalance R]\n",
       argv0);
   std::exit(2);
 }
@@ -91,7 +86,6 @@ int main(int argc, char** argv) {
   int32_t threads = 0;
   int32_t shards = 0;
   int32_t rebalance_stride = 0;
-  bool incremental = true;
 
   for (int i = 1; i < argc; ++i) {
     auto next = [&](const char* flag) -> const char* {
@@ -157,10 +151,6 @@ int main(int argc, char** argv) {
       shards = std::atoi(next("--shards"));
     } else if (!std::strcmp(argv[i], "--rebalance")) {
       rebalance_stride = std::atoi(next("--rebalance"));
-    } else if (!std::strcmp(argv[i], "--incremental")) {
-      incremental = true;
-    } else if (!std::strcmp(argv[i], "--no-incremental")) {
-      incremental = false;
     } else {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       Usage(argv[0]);
@@ -191,7 +181,6 @@ int main(int argc, char** argv) {
   sim.threads = threads;
   sim.shards = shards;
   sim.rebalance_stride = rebalance_stride;
-  sim.incremental = incremental;
   if (capacity_fraction > 0.0) {
     sim.service_rate_override = capacity_fraction * world->full_update_rate;
   }

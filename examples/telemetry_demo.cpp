@@ -121,9 +121,9 @@ int main(int argc, char** argv) {
   const telemetry::Histogram* total =
       metrics.FindHistogram("lira.adapt.total_seconds");
   const telemetry::Histogram* reduce =
-      metrics.FindHistogram("lira.adapt.grid_reduce_seconds");
+      metrics.FindHistogram("lira.adapt.gridreduce_seconds");
   const telemetry::Histogram* greedy =
-      metrics.FindHistogram("lira.adapt.greedy_increment_seconds");
+      metrics.FindHistogram("lira.adapt.greedy_seconds");
   const telemetry::Counter* splits =
       metrics.FindCounter("lira.gridreduce.drilldowns");
   std::printf("\nadaptation loop (%zu adaptations):\n",

@@ -1,21 +1,16 @@
-// Branch-light contiguous hot-loop kernels (ISSUE 8).
+// Branch-light contiguous hot-loop kernels.
 //
 // Every kernel is a restrict-qualified loop over structure-of-arrays lanes,
 // written so GCC's auto-vectorizer can emit SIMD for it at -O3 -- no
-// intrinsics anywhere. Each kernel is compiled twice from the same body
-// (kernels_impl.inc):
-//
-//   kernels::vec  -- default codegen, auto-vectorized (kernels_vec.cc)
-//   kernels::ref  -- -fno-tree-vectorize -fno-tree-slp-vectorize, the
-//                    scalar reference path (kernels_ref.cc)
+// intrinsics anywhere. The bodies live in kernels_impl.inc and are compiled
+// once, with default (auto-vectorizing) codegen, by kernels_vec.cc.
 //
 // Bitwise contract (DESIGN.md §11): the build pins -ffp-contract=off, so
 // every operation these kernels use (add/sub/mul/abs/min/max/compare,
 // float->double conversion) is exactly rounded per IEEE-754 and produces
-// identical bits per lane whether executed scalar or SIMD. The two builds
-// are therefore bit-identical by construction; kernels_test verifies it,
-// and set_scalar_reference(true) (or LIRA_SCALAR_KERNELS=1) swaps the
-// whole process onto the reference path for end-to-end checks.
+// identical bits per lane whether executed scalar or SIMD. The test oracle
+// (tests/oracle) compiles the same bodies a second time with vectorization
+// off, and kernels_test asserts the two builds agree bit for bit.
 //
 // Operations that are NOT exactly rounded (std::hypot) or order-dependent
 // (FP accumulation) never appear here: callers either keep them scalar or
@@ -48,208 +43,91 @@ enum : uint8_t {
   kDevAmbiguous = 2,  ///< within the rounding band: resolve with scalar hypot
 };
 
-// Every kernel exists in both namespaces with identical signatures.
-#define LIRA_KERNELS_DECLARE                                                   \
-  /* out = min(max(in, lo), hi) per axis, Rect::Clamp's exact expression. */   \
-  void ClampPoints(int64_t n, const double* in_x, const double* in_y,          \
-                   const ClampSpec& spec, double* out_x, double* out_y);       \
-                                                                               \
-  /* skip[i] = old_present & new_present & clearance > 0 &&                    \
-     L1(new, ref) < clearance. new_present == nullptr means all present. */    \
-  void L1SkipMask(int64_t n, const double* new_x, const double* new_y,         \
-                  const double* ref_x, const double* ref_y,                    \
-                  const double* clearance, const uint8_t* old_present,         \
-                  const uint8_t* new_present, uint8_t* skip);                  \
-                                                                               \
-  /* Same-cell candidate walk over a cell's partial-query rect columns, as   \
-     two sign-tagged double columns (byte-mask outputs block SSE2            \
-     vectorization, sign bits don't): old_side[i] = Contains(old) ? 1.0 :    \
-     -1.0, and new_flip[i] carries rect i's L1 flip distance for `new`       \
-     (FlipDistance's exact arithmetic, branchless) with the sign bit set     \
-     when `new` is outside -- the magnitudes are all born +0.0 or positive,  \
-     so fabs recovers the distance and signbit the containment exactly. The  \
-     min-reduction over the distances and the event emission stay with the   \
-     (scalar) caller to preserve evaluation order. */                          \
-  void RectWalkDistances(int64_t n, const double* min_x, const double* min_y,  \
-                         const double* max_x, const double* max_y,             \
-                         double old_x, double old_y, double new_x,             \
-                         double new_y, double* old_side, double* new_flip);    \
-                                                                               \
-  /* Dead-reckoning deviation band filter; delta varies per lane. */           \
-  void DeviationFilter(int64_t n, const double* origin_x,                      \
-                       const double* origin_y, const double* vel_x,            \
-                       const double* vel_y, const double* t0,                  \
-                       const uint8_t* has, double t, const double* obs_x,      \
-                       const double* obs_y, const double* delta,               \
-                       uint8_t* decision);                                     \
-                                                                               \
-  /* As DeviationFilter with one threshold for every lane. */                  \
-  void DeviationFilterUniform(int64_t n, const double* origin_x,               \
-                              const double* origin_y, const double* vel_x,     \
-                              const double* vel_y, const double* t0,           \
-                              const uint8_t* has, double t,                    \
-                              const double* obs_x, const double* obs_y,        \
-                              double delta, uint8_t* decision);                \
-                                                                               \
-  /* out = has ? origin + vel * (t - t0) : fallback, per lane                  \
-     (LinearMotionModel::PredictAt's exact expression). fallback_x/y may      \
-     be nullptr when every lane has a model. */                                \
-  void PredictPositions(int64_t n, const double* origin_x,                     \
-                        const double* origin_y, const double* vel_x,           \
-                        const double* vel_y, const double* t0,                 \
-                        const uint8_t* has, double t,                          \
-                        const double* fallback_x, const double* fallback_y,    \
-                        double* out_x, double* out_y);                         \
-                                                                               \
-  /* Widens a stride-4 float frame row {x, y, vx, vy} into double columns     \
-     (float->double conversion is exact). */                                   \
-  void UnpackFrame(int64_t n, const float* states, double* x, double* y,       \
-                   double* vx, double* vy);                                    \
-                                                                               \
-  /* out[i] += in[i] over int64 lanes. Integer addition is associative and    \
-     exact, so any chunking / reduction shape over these lanes is bitwise     \
-     identical to a serial accumulation -- the property the coordinator's     \
-     parallel shard-grid merge relies on. */                                   \
-  void AddI64(int64_t n, const int64_t* in, int64_t* out);                     \
-                                                                               \
-  /* cell[i] = flat row-major grid cell (iy * alpha + ix) of point i, or -1   \
-     for lanes with known[i] == 0 (known == nullptr means all lanes valid).   \
-     Per axis this is StatisticsGrid::LocateCell's exact expression:          \
-     clamp into the ClampSpec box, subtract the origin, divide by the cell    \
-     pitch, truncate to int32, clamp to [0, alpha). Division is correctly     \
-     rounded per IEEE-754 and the in-range double->int32 conversion is        \
-     exact, so scalar and SIMD lanes agree bitwise; unknown lanes are         \
-     select-replaced with the origin before the conversion so no garbage      \
-     value ever reaches the (UB-on-overflow) cast. */                          \
-  void LocateCells(int64_t n, const double* px, const double* py,              \
-                   const uint8_t* known, const ClampSpec& spec, double cell_w, \
-                   double cell_h, int32_t alpha, int32_t* cell);               \
-                                                                               \
-  /* skip[i] = cell[i] == old_cell[i] (and >= 0) & velocity bits unchanged    \
-     (vel == cached, IEEE == on doubles -- velocities are never NaN). The     \
-     columnar stats rebuild's fast path: a skipped lane's contribution        \
-     (cell and quantized speed) is provably identical to what the grid        \
-     already holds, so the scalar relocation loop tests one byte instead of   \
-     re-deriving the comparison chain per lane. */                             \
-  void RelocateSkipMask(int64_t n, const int32_t* cell,                        \
-                        const int32_t* old_cell, const double* vel_x,          \
-                        const double* vel_y, const double* cached_vx,          \
-                        const double* cached_vy, uint8_t* skip);
+/// out = min(max(in, lo), hi) per axis, Rect::Clamp's exact expression.
+void ClampPoints(int64_t n, const double* in_x, const double* in_y,
+                 const ClampSpec& spec, double* out_x, double* out_y);
 
-namespace vec {
-LIRA_KERNELS_DECLARE
-}  // namespace vec
+/// skip[i] = old_present & new_present & clearance > 0 &&
+/// L1(new, ref) < clearance. new_present == nullptr means all present.
+void L1SkipMask(int64_t n, const double* new_x, const double* new_y,
+                const double* ref_x, const double* ref_y,
+                const double* clearance, const uint8_t* old_present,
+                const uint8_t* new_present, uint8_t* skip);
 
-namespace ref {
-LIRA_KERNELS_DECLARE
-}  // namespace ref
+/// Same-cell candidate walk over a cell's partial-query rect columns, as
+/// two sign-tagged double columns (byte-mask outputs block SSE2
+/// vectorization, sign bits don't): old_side[i] = Contains(old) ? 1.0 :
+/// -1.0, and new_flip[i] carries rect i's L1 flip distance for `new`
+/// (FlipDistance's exact arithmetic, branchless) with the sign bit set
+/// when `new` is outside -- the magnitudes are all born +0.0 or positive,
+/// so fabs recovers the distance and signbit the containment exactly. The
+/// min-reduction over the distances and the event emission stay with the
+/// (scalar) caller to preserve evaluation order.
+void RectWalkDistances(int64_t n, const double* min_x, const double* min_y,
+                       const double* max_x, const double* max_y,
+                       double old_x, double old_y, double new_x,
+                       double new_y, double* old_side, double* new_flip);
 
-#undef LIRA_KERNELS_DECLARE
+/// Dead-reckoning deviation band filter; delta varies per lane.
+void DeviationFilter(int64_t n, const double* origin_x,
+                     const double* origin_y, const double* vel_x,
+                     const double* vel_y, const double* t0,
+                     const uint8_t* has, double t, const double* obs_x,
+                     const double* obs_y, const double* delta,
+                     uint8_t* decision);
 
-/// True when the process is pinned to the scalar reference kernels
-/// (set_scalar_reference, or the LIRA_SCALAR_KERNELS env var at startup).
-bool scalar_reference_enabled();
-void set_scalar_reference(bool scalar);
-
-inline void ClampPoints(int64_t n, const double* in_x, const double* in_y,
-                        const ClampSpec& spec, double* out_x, double* out_y) {
-  scalar_reference_enabled()
-      ? ref::ClampPoints(n, in_x, in_y, spec, out_x, out_y)
-      : vec::ClampPoints(n, in_x, in_y, spec, out_x, out_y);
-}
-
-inline void L1SkipMask(int64_t n, const double* new_x, const double* new_y,
-                       const double* ref_x, const double* ref_y,
-                       const double* clearance, const uint8_t* old_present,
-                       const uint8_t* new_present, uint8_t* skip) {
-  scalar_reference_enabled()
-      ? ref::L1SkipMask(n, new_x, new_y, ref_x, ref_y, clearance, old_present,
-                        new_present, skip)
-      : vec::L1SkipMask(n, new_x, new_y, ref_x, ref_y, clearance, old_present,
-                        new_present, skip);
-}
-
-inline void RectWalkDistances(int64_t n, const double* min_x,
-                              const double* min_y, const double* max_x,
-                              const double* max_y, double old_x, double old_y,
-                              double new_x, double new_y, double* old_side,
-                              double* new_flip) {
-  scalar_reference_enabled()
-      ? ref::RectWalkDistances(n, min_x, min_y, max_x, max_y, old_x, old_y,
-                               new_x, new_y, old_side, new_flip)
-      : vec::RectWalkDistances(n, min_x, min_y, max_x, max_y, old_x, old_y,
-                               new_x, new_y, old_side, new_flip);
-}
-
-inline void DeviationFilter(int64_t n, const double* origin_x,
+/// As DeviationFilter with one threshold for every lane.
+void DeviationFilterUniform(int64_t n, const double* origin_x,
                             const double* origin_y, const double* vel_x,
                             const double* vel_y, const double* t0,
-                            const uint8_t* has, double t, const double* obs_x,
-                            const double* obs_y, const double* delta,
-                            uint8_t* decision) {
-  scalar_reference_enabled()
-      ? ref::DeviationFilter(n, origin_x, origin_y, vel_x, vel_y, t0, has, t,
-                             obs_x, obs_y, delta, decision)
-      : vec::DeviationFilter(n, origin_x, origin_y, vel_x, vel_y, t0, has, t,
-                             obs_x, obs_y, delta, decision);
-}
+                            const uint8_t* has, double t,
+                            const double* obs_x, const double* obs_y,
+                            double delta, uint8_t* decision);
 
-inline void DeviationFilterUniform(int64_t n, const double* origin_x,
-                                   const double* origin_y, const double* vel_x,
-                                   const double* vel_y, const double* t0,
-                                   const uint8_t* has, double t,
-                                   const double* obs_x, const double* obs_y,
-                                   double delta, uint8_t* decision) {
-  scalar_reference_enabled()
-      ? ref::DeviationFilterUniform(n, origin_x, origin_y, vel_x, vel_y, t0,
-                                    has, t, obs_x, obs_y, delta, decision)
-      : vec::DeviationFilterUniform(n, origin_x, origin_y, vel_x, vel_y, t0,
-                                    has, t, obs_x, obs_y, delta, decision);
-}
+/// out = has ? origin + vel * (t - t0) : fallback, per lane
+/// (LinearMotionModel::PredictAt's exact expression). fallback_x/y may
+/// be nullptr when every lane has a model.
+void PredictPositions(int64_t n, const double* origin_x,
+                      const double* origin_y, const double* vel_x,
+                      const double* vel_y, const double* t0,
+                      const uint8_t* has, double t,
+                      const double* fallback_x, const double* fallback_y,
+                      double* out_x, double* out_y);
 
-inline void PredictPositions(int64_t n, const double* origin_x,
-                             const double* origin_y, const double* vel_x,
-                             const double* vel_y, const double* t0,
-                             const uint8_t* has, double t,
-                             const double* fallback_x, const double* fallback_y,
-                             double* out_x, double* out_y) {
-  scalar_reference_enabled()
-      ? ref::PredictPositions(n, origin_x, origin_y, vel_x, vel_y, t0, has, t,
-                              fallback_x, fallback_y, out_x, out_y)
-      : vec::PredictPositions(n, origin_x, origin_y, vel_x, vel_y, t0, has, t,
-                              fallback_x, fallback_y, out_x, out_y);
-}
+/// Widens a stride-4 float frame row {x, y, vx, vy} into double columns
+/// (float->double conversion is exact).
+void UnpackFrame(int64_t n, const float* states, double* x, double* y,
+                 double* vx, double* vy);
 
-inline void UnpackFrame(int64_t n, const float* states, double* x, double* y,
-                        double* vx, double* vy) {
-  scalar_reference_enabled() ? ref::UnpackFrame(n, states, x, y, vx, vy)
-                             : vec::UnpackFrame(n, states, x, y, vx, vy);
-}
+/// out[i] += in[i] over int64 lanes. Integer addition is associative and
+/// exact, so any chunking / reduction shape over these lanes is bitwise
+/// identical to a serial accumulation -- the property the coordinator's
+/// parallel shard-grid merge relies on.
+void AddI64(int64_t n, const int64_t* in, int64_t* out);
 
-inline void AddI64(int64_t n, const int64_t* in, int64_t* out) {
-  scalar_reference_enabled() ? ref::AddI64(n, in, out)
-                             : vec::AddI64(n, in, out);
-}
+/// cell[i] = flat row-major grid cell (iy * alpha + ix) of point i, or -1
+/// for lanes with known[i] == 0 (known == nullptr means all lanes valid).
+/// Per axis this is StatisticsGrid::LocateCell's exact expression:
+/// clamp into the ClampSpec box, subtract the origin, divide by the cell
+/// pitch, truncate to int32, clamp to [0, alpha). Division is correctly
+/// rounded per IEEE-754 and the in-range double->int32 conversion is
+/// exact, so scalar and SIMD lanes agree bitwise; unknown lanes are
+/// select-replaced with the origin before the conversion so no garbage
+/// value ever reaches the (UB-on-overflow) cast.
+void LocateCells(int64_t n, const double* px, const double* py,
+                 const uint8_t* known, const ClampSpec& spec, double cell_w,
+                 double cell_h, int32_t alpha, int32_t* cell);
 
-inline void LocateCells(int64_t n, const double* px, const double* py,
-                        const uint8_t* known, const ClampSpec& spec,
-                        double cell_w, double cell_h, int32_t alpha,
-                        int32_t* cell) {
-  scalar_reference_enabled()
-      ? ref::LocateCells(n, px, py, known, spec, cell_w, cell_h, alpha, cell)
-      : vec::LocateCells(n, px, py, known, spec, cell_w, cell_h, alpha, cell);
-}
-
-inline void RelocateSkipMask(int64_t n, const int32_t* cell,
-                             const int32_t* old_cell, const double* vel_x,
-                             const double* vel_y, const double* cached_vx,
-                             const double* cached_vy, uint8_t* skip) {
-  scalar_reference_enabled()
-      ? ref::RelocateSkipMask(n, cell, old_cell, vel_x, vel_y, cached_vx,
-                              cached_vy, skip)
-      : vec::RelocateSkipMask(n, cell, old_cell, vel_x, vel_y, cached_vx,
-                              cached_vy, skip);
-}
+/// skip[i] = cell[i] == old_cell[i] (and >= 0) & velocity bits unchanged
+/// (vel == cached, IEEE == on doubles -- velocities are never NaN). The
+/// columnar stats rebuild's fast path: a skipped lane's contribution
+/// (cell and quantized speed) is provably identical to what the grid
+/// already holds, so the scalar relocation loop tests one byte instead of
+/// re-deriving the comparison chain per lane.
+void RelocateSkipMask(int64_t n, const int32_t* cell,
+                      const int32_t* old_cell, const double* vel_x,
+                      const double* vel_y, const double* cached_vx,
+                      const double* cached_vy, uint8_t* skip);
 
 }  // namespace lira::kernels
 

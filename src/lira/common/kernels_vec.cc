@@ -1,4 +1,12 @@
-// Auto-vectorized kernel build (default codegen; see kernels.h).
+// The production kernel build: the bodies in kernels_impl.inc with default
+// (auto-vectorizing) codegen.
 
-#define LIRA_KERNEL_NS vec
+#include "lira/common/kernels.h"
+
+#include <cstdint>
+
+namespace lira::kernels {
+
 #include "lira/common/kernels_impl.inc"
+
+}  // namespace lira::kernels

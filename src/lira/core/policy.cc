@@ -36,16 +36,10 @@ StatusOr<SheddingPlan> FinishPlan(const PolicyContext& ctx,
   greedy.c_delta = config.c_delta;
   greedy.fairness_threshold = config.fairness_threshold;
   greedy.use_speed_factor = config.use_speed_factor;
-  telemetry::ScopedTimer timer(ctx.telemetry,
-                               "lira.adapt.greedy_increment_seconds", ctx.now);
+  telemetry::ScopedTimer timer(ctx.telemetry, "lira.adapt.greedy_seconds",
+                               ctx.now);
   auto result = RunGreedyIncrement(stats, *ctx.reduction, greedy);
-  const double greedy_seconds = timer.Stop();
-  if (ctx.telemetry != nullptr) {
-    // Per-phase adaptation histogram; the legacy name above is kept for
-    // existing dashboards and tests.
-    ctx.telemetry->RecordSpan("lira.adapt.greedy_seconds", ctx.now,
-                              greedy_seconds);
-  }
+  timer.Stop();
   if (!result.ok()) {
     return result.status();
   }
@@ -102,16 +96,10 @@ StatusOr<SheddingPlan> LiraPolicy::BuildPlan(const PolicyContext& ctx) const {
   reduce.telemetry = ctx.telemetry;
   reduce.now = ctx.now;
   reduce.pool = ctx.pool;
-  telemetry::ScopedTimer timer(ctx.telemetry, "lira.adapt.grid_reduce_seconds",
+  telemetry::ScopedTimer timer(ctx.telemetry, "lira.adapt.gridreduce_seconds",
                                ctx.now);
   auto regions = GridReduce(tree, *ctx.reduction, reduce);
-  const double reduce_seconds = timer.Stop();
-  if (ctx.telemetry != nullptr) {
-    // Per-phase adaptation histogram; the legacy name above is kept for
-    // existing dashboards and tests.
-    ctx.telemetry->RecordSpan("lira.adapt.gridreduce_seconds", ctx.now,
-                              reduce_seconds);
-  }
+  timer.Stop();
   if (!regions.ok()) {
     return regions.status();
   }

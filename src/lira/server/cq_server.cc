@@ -20,15 +20,10 @@ CqServer::CqServer(const CqServerConfig& config,
       optimizer_(std::move(optimizer)),
       next_adaptation_(config.adaptation_period) {}
 
-double CqServer::QueryMargin() const {
-  return config_.query_margin >= 0.0 ? config_.query_margin
-                                     : reduction_->delta_max();
-}
-
-StatusOr<CqServer> CqServer::Create(const CqServerConfig& config,
-                                    const LoadSheddingPolicy* policy,
-                                    const UpdateReductionFunction* reduction,
-                                    const QueryRegistry* queries) {
+Status ValidateServerConfig(const CqServerConfig& config,
+                            const LoadSheddingPolicy* policy,
+                            const UpdateReductionFunction* reduction,
+                            const QueryRegistry* queries) {
   if (policy == nullptr || reduction == nullptr || queries == nullptr) {
     return InvalidArgumentError("policy/reduction/queries must be non-null");
   }
@@ -48,25 +43,53 @@ StatusOr<CqServer> CqServer::Create(const CqServerConfig& config,
       config.stats_sample_fraction > 1.0) {
     return InvalidArgumentError("stats_sample_fraction must be in (0, 1]");
   }
+  return OkStatus();
+}
 
-  StatsStageConfig stats_config;
-  stats_config.num_nodes = config.num_nodes;
-  stats_config.world = config.world;
-  stats_config.alpha = config.alpha;
-  stats_config.stats_sample_fraction = config.stats_sample_fraction;
-  stats_config.incremental_stats = config.incremental_stats;
-  stats_config.columnar_rebuild = config.columnar_rebuild;
-  stats_config.seed = config.seed ^ 0x57a75ULL;
-  stats_config.telemetry = config.telemetry;
+double QueryMargin(const CqServerConfig& config,
+                   const UpdateReductionFunction& reduction) {
+  return config.query_margin >= 0.0 ? config.query_margin
+                                    : reduction.delta_max();
+}
+
+StatsStageConfig ServerStatsConfig(const CqServerConfig& config,
+                                   uint64_t seed) {
+  StatsStageConfig stats;
+  stats.num_nodes = config.num_nodes;
+  stats.world = config.world;
+  stats.alpha = config.alpha;
+  stats.stats_sample_fraction = config.stats_sample_fraction;
+  stats.incremental_stats = config.incremental_stats;
+  stats.seed = seed ^ 0x57a75ULL;
+  stats.telemetry = config.telemetry;
+  return stats;
+}
+
+OptimizerStageConfig ServerOptimizerConfig(const CqServerConfig& config) {
+  OptimizerStageConfig optimizer;
+  optimizer.queue_capacity = static_cast<int64_t>(config.queue_capacity);
+  optimizer.service_rate = config.service_rate;
+  optimizer.adaptation_period = config.adaptation_period;
+  optimizer.auto_throttle = config.auto_throttle;
+  optimizer.fixed_z = config.fixed_z;
+  optimizer.telemetry = config.telemetry;
+  return optimizer;
+}
+
+StatusOr<CqServer> CqServer::Create(const CqServerConfig& config,
+                                    const LoadSheddingPolicy* policy,
+                                    const UpdateReductionFunction* reduction,
+                                    const QueryRegistry* queries) {
+  LIRA_RETURN_IF_ERROR(
+      ValidateServerConfig(config, policy, reduction, queries));
+
+  StatsStageConfig stats_config = ServerStatsConfig(config, config.seed);
   stats_config.pool = config.pool;
   auto stats_stage = StatsStage::Create(stats_config);
   if (!stats_stage.ok()) {
     return stats_stage.status();
   }
-  const double margin = config.query_margin >= 0.0
-                            ? config.query_margin
-                            : reduction->delta_max();
-  stats_stage->RebuildQueries(*queries, margin);
+  stats_stage->RebuildQueries(*queries, QueryMargin(config, *reduction));
 
   IngestStageConfig ingest_config;
   ingest_config.queue_capacity = config.queue_capacity;
@@ -78,14 +101,7 @@ StatusOr<CqServer> CqServer::Create(const CqServerConfig& config,
     return ingest.status();
   }
 
-  OptimizerStageConfig optimizer_config;
-  optimizer_config.queue_capacity =
-      static_cast<int64_t>(config.queue_capacity);
-  optimizer_config.service_rate = config.service_rate;
-  optimizer_config.adaptation_period = config.adaptation_period;
-  optimizer_config.auto_throttle = config.auto_throttle;
-  optimizer_config.fixed_z = config.fixed_z;
-  optimizer_config.telemetry = config.telemetry;
+  OptimizerStageConfig optimizer_config = ServerOptimizerConfig(config);
   optimizer_config.pool = config.pool;
   auto optimizer = OptimizerStage::Create(optimizer_config, config.world,
                                           reduction->delta_min());
@@ -252,7 +268,8 @@ Status CqServer::Adapt() {
                                          time_);
       telemetry::ScopedSpan query_span(tr, lane, "stats.query_rebuild", tick_,
                                        -1, time_);
-      stats_stage_.RebuildQueries(*queries_, QueryMargin());
+      stats_stage_.RebuildQueries(*queries_,
+                                  QueryMargin(config_, *reduction_));
     }
     stats_span.set_value(stats_stage_.grid().TotalNodes());
   }

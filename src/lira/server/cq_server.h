@@ -83,11 +83,6 @@ struct CqServerConfig {
   /// (integer grid accumulators; neither path consumes stats RNG at
   /// fraction 1.0). Sampled statistics fall back to the rebuild.
   bool incremental_stats = true;
-  /// When false the statistics rebuild uses the scalar per-node walk
-  /// instead of the columnar (block-predicted, velocity-cached) kernel.
-  /// Bitwise identical either way; the flag exists so benchmarks can A/B
-  /// the two flavors (bench_adapt_path). See StatsStageConfig.
-  bool columnar_rebuild = true;
   /// Optional telemetry (not owned; must outlive the server). When set, the
   /// server maintains `lira.queue.*` instruments on every Receive and
   /// records the adaptation loop -- z trajectory, per-stage plan-build
@@ -113,6 +108,28 @@ struct CqServerConfig {
   /// determinism notes on StatsStage and GridReduceConfig.
   ThreadPool* pool = nullptr;
 };
+
+/// The config checks CqServer::Create and ServerCluster::Create share:
+/// non-null collaborators, positive node count / service rate / period, a
+/// fixed z in [0, 1] when THROTLOOP is off, and a sampling fraction in
+/// (0, 1].
+Status ValidateServerConfig(const CqServerConfig& config,
+                            const LoadSheddingPolicy* policy,
+                            const UpdateReductionFunction* reduction,
+                            const QueryRegistry* queries);
+
+/// Query margin in force: the explicit config value, or the reduction's
+/// delta_max when it is negative.
+double QueryMargin(const CqServerConfig& config,
+                   const UpdateReductionFunction& reduction);
+
+/// The statistics stage and optimizer configs a server (or a cluster's
+/// shards and coordinator) derive from its CqServerConfig. `seed` is the
+/// pipeline's random stream (shard k mixes its index in first); the stats
+/// stage seeds its sampling RNG with `seed ^ 0x57a75`.
+StatsStageConfig ServerStatsConfig(const CqServerConfig& config,
+                                   uint64_t seed);
+OptimizerStageConfig ServerOptimizerConfig(const CqServerConfig& config);
 
 /// Single-threaded discrete-time CQ server.
 class CqServer : public ServerPipeline {
@@ -210,9 +227,6 @@ class CqServer : public ServerPipeline {
            const QueryRegistry* queries, IngestStage ingest,
            TrackerStage tracker_stage, StatsStage stats_stage,
            OptimizerStage optimizer);
-
-  /// Query margin in force: explicit config or the reduction's delta_max.
-  double QueryMargin() const;
 
   /// Appends one end-of-tick FlightSample (flight recorder configured).
   void RecordFlightSample();

@@ -65,35 +65,12 @@ ServerCluster::ServerCluster(const ServerClusterConfig& config,
   RebuildSubQueries();
 }
 
-double ServerCluster::QueryMargin() const {
-  return config_.server.query_margin >= 0.0 ? config_.server.query_margin
-                                            : reduction_->delta_max();
-}
-
 StatusOr<std::unique_ptr<ServerCluster>> ServerCluster::Create(
     const ServerClusterConfig& config, const LoadSheddingPolicy* policy,
     const UpdateReductionFunction* reduction, const QueryRegistry* queries) {
   const CqServerConfig& server = config.server;
-  if (policy == nullptr || reduction == nullptr || queries == nullptr) {
-    return InvalidArgumentError("policy/reduction/queries must be non-null");
-  }
-  if (server.num_nodes <= 0) {
-    return InvalidArgumentError("num_nodes must be positive");
-  }
-  if (server.service_rate <= 0.0) {
-    return InvalidArgumentError("service_rate must be positive");
-  }
-  if (server.adaptation_period <= 0.0) {
-    return InvalidArgumentError("adaptation_period must be positive");
-  }
-  if (!server.auto_throttle &&
-      (server.fixed_z < 0.0 || server.fixed_z > 1.0)) {
-    return InvalidArgumentError("fixed_z must be in [0, 1]");
-  }
-  if (server.stats_sample_fraction <= 0.0 ||
-      server.stats_sample_fraction > 1.0) {
-    return InvalidArgumentError("stats_sample_fraction must be in (0, 1]");
-  }
+  LIRA_RETURN_IF_ERROR(
+      ValidateServerConfig(server, policy, reduction, queries));
   if (config.threads < 0) {
     return InvalidArgumentError("threads must be >= 0");
   }
@@ -146,16 +123,9 @@ StatusOr<std::unique_ptr<ServerCluster>> ServerCluster::Create(
       return tracker.status();
     }
 
-    StatsStageConfig stats_config;
-    stats_config.num_nodes = server.num_nodes;
-    stats_config.world = server.world;
-    stats_config.alpha = server.alpha;
-    stats_config.stats_sample_fraction = server.stats_sample_fraction;
-    stats_config.incremental_stats = server.incremental_stats;
-    stats_config.owned_only = true;
-    stats_config.seed = seed ^ 0x57a75ULL;
+    // No pool: shard rebuilds run inside the coordinator's shard fan-out.
+    StatsStageConfig stats_config = ServerStatsConfig(server, seed);
     stats_config.metric_prefix = prefix;
-    stats_config.telemetry = server.telemetry;
     auto stats = StatsStage::Create(stats_config);
     if (!stats.ok()) {
       return stats.status();
@@ -168,35 +138,19 @@ StatusOr<std::unique_ptr<ServerCluster>> ServerCluster::Create(
   // The coordinator's merged grid; its query-count cache plays the role
   // the single server's grid cache does (counted once here, refreshed
   // only when the registry or margin changes).
-  StatsStageConfig merged_config;
-  merged_config.num_nodes = server.num_nodes;
-  merged_config.world = server.world;
-  merged_config.alpha = server.alpha;
-  merged_config.stats_sample_fraction = server.stats_sample_fraction;
-  merged_config.incremental_stats = server.incremental_stats;
-  merged_config.seed = server.seed ^ 0x57a75ULL;
+  StatsStageConfig merged_config = ServerStatsConfig(server, server.seed);
   // The coordinator's own instruments live under `lira.coord.*`; the shard
   // stages own the `lira.shard<k>.*` rebuild instruments, so the merged
   // stage no longer has to run blind just to avoid name collisions.
   merged_config.metric_prefix = "lira.coord";
-  merged_config.telemetry = server.telemetry;
   auto merged = StatsStage::Create(merged_config);
   if (!merged.ok()) {
     return merged.status();
   }
-  const double margin = server.query_margin >= 0.0 ? server.query_margin
-                                                   : reduction->delta_max();
-  merged->RebuildQueries(*queries, margin);
+  merged->RebuildQueries(*queries, QueryMargin(server, *reduction));
 
-  OptimizerStageConfig optimizer_config;
-  optimizer_config.queue_capacity =
-      static_cast<int64_t>(server.queue_capacity);
-  optimizer_config.service_rate = server.service_rate;
-  optimizer_config.adaptation_period = server.adaptation_period;
-  optimizer_config.auto_throttle = server.auto_throttle;
-  optimizer_config.fixed_z = server.fixed_z;
-  optimizer_config.telemetry = server.telemetry;
-  auto optimizer = OptimizerStage::Create(optimizer_config, server.world,
+  auto optimizer = OptimizerStage::Create(ServerOptimizerConfig(server),
+                                          server.world,
                                           reduction->delta_min());
   if (!optimizer.ok()) {
     return optimizer.status();
@@ -222,7 +176,7 @@ Status ServerCluster::InstallQueries(const QueryRegistry* queries) {
 }
 
 Rect ServerCluster::ExpandedStrip(int32_t shard) const {
-  const double margin = QueryMargin();
+  const double margin = QueryMargin(config_.server, *reduction_);
   const Rect strip = shard_map_.ShardRect(shard);
   return Rect{strip.min_x - margin, strip.min_y - margin,
               strip.max_x + margin, strip.max_y + margin};
@@ -234,7 +188,8 @@ void ServerCluster::RebuildSubQueries() {
   for (int32_t k = 0; k < num_shards(); ++k) {
     strips.push_back(shard_map_.ShardRect(k));
   }
-  sub_queries_.Build(*queries_, strips, QueryMargin());
+  sub_queries_.Build(*queries_, strips,
+                     QueryMargin(config_.server, *reduction_));
 }
 
 void ServerCluster::ReceiveBatch(std::vector<ModelUpdate>* updates) {
@@ -382,7 +337,9 @@ void ServerCluster::ProcessHandoffs() {
   // between reports) ends up owned by the highest-indexed applier; its
   // latest model at the loser is retracted, matching what a single server
   // would keep only approximately -- the plan optimizer never sees a node
-  // twice, which is the invariant that matters.
+  // twice, which is the invariant that matters. Every ForgetNode pairs with
+  // the tracker's Forget: shard stats rebuilds scan every id and count
+  // whatever the shard's tracker holds a model for.
   for (int32_t k = 0; k < num_shards(); ++k) {
     for (const NodeId id : shards_[k].applied) {
       const int32_t previous = owner_of_[id];
@@ -391,7 +348,6 @@ void ServerCluster::ProcessHandoffs() {
         shards_[previous].tracker.Forget(id);
       }
       owner_of_[id] = k;
-      shards_[k].stats.NoteOwned(id);
     }
   }
 }
@@ -486,7 +442,8 @@ Status ServerCluster::Adapt() {
                                          time_);
       telemetry::ScopedSpan query_span(tr, driver_lane, "stats.query_rebuild",
                                        tick_, -1, time_);
-      merged_stats_.RebuildQueries(*queries_, QueryMargin());
+      merged_stats_.RebuildQueries(*queries_,
+                                   QueryMargin(config_.server, *reduction_));
     }
     merge_span.set_value(merged_stats_.grid().TotalNodes());
   }
@@ -562,8 +519,8 @@ void ServerCluster::MaybeRebalance() {
 }
 
 int64_t ServerCluster::MigrateOwnership() {
-  // Serial, ascending node id: the same Forget/NoteOwned handoff path the
-  // per-tick ownership transfers use, so grids stay exactly a union of
+  // Serial, ascending node id: the same ForgetNode + Forget handoff path
+  // the per-tick ownership transfers use, so grids stay exactly a union of
   // owned cells and Merge stays integer-exact across epochs. The adopting
   // tracker restores the model without counting it as an applied update;
   // its grid contribution is re-established by this adaptation's rebuild.
@@ -584,7 +541,6 @@ int64_t ServerCluster::MigrateOwnership() {
     shards_[previous].stats.ForgetNode(id);
     shards_[previous].tracker.Forget(id);
     shards_[next].tracker.Adopt(ModelUpdate{id, *model});
-    shards_[next].stats.NoteOwned(id);
     owner_of_[id] = next;
     ++migrated;
   }

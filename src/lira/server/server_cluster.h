@@ -174,6 +174,11 @@ class ServerCluster : public ServerPipeline {
   const UpdateQueue& shard_queue(int32_t shard) const {
     return shards_[shard].ingest.queue();
   }
+  const PositionTracker& shard_tracker(int32_t shard) const {
+    return shards_[shard].tracker.tracker();
+  }
+  /// The shard that owns `id` (-1 until its first applied update).
+  int32_t owner_of(NodeId id) const { return owner_of_[id]; }
 
  private:
   struct Shard {
@@ -195,7 +200,6 @@ class ServerCluster : public ServerPipeline {
                 std::vector<Shard> shards, StatsStage merged_stats,
                 OptimizerStage optimizer, int32_t pool_threads);
 
-  double QueryMargin() const;
   /// Shard k's strip expanded by the query margin on every side.
   Rect ExpandedStrip(int32_t shard) const;
   /// Reinstalls every registered query as per-shard clipped sub-queries

@@ -20,20 +20,13 @@ StatsStage::StatsStage(const StatsStageConfig& config, StatisticsGrid grid)
     : world_(config.world),
       stats_sample_fraction_(config.stats_sample_fraction),
       incremental_stats_(config.incremental_stats),
-      owned_only_(config.owned_only),
-      columnar_rebuild_(config.columnar_rebuild),
       pool_(config.pool),
       grid_(std::move(grid)),
       stats_rng_(config.seed),
       stats_cell_of_(config.num_nodes, -1),
-      stats_speed_of_(config.num_nodes, 0.0),
       stats_speed_q_of_(config.num_nodes, 0),
-      stats_vel_x_(config.columnar_rebuild ? config.num_nodes : 0, 0.0),
-      stats_vel_y_(config.columnar_rebuild ? config.num_nodes : 0, 0.0),
-      owned_words_(config.owned_only
-                       ? (static_cast<size_t>(config.num_nodes) + 63) / 64
-                       : 0,
-                   0) {
+      stats_vel_x_(config.num_nodes, 0.0),
+      stats_vel_y_(config.num_nodes, 0.0) {
   if (config.telemetry != nullptr) {
     cells_dirtied_counter_ = config.telemetry->metrics().GetCounter(
         config.metric_prefix + ".stats.cells_dirtied");
@@ -55,95 +48,13 @@ StatusOr<StatsStage> StatsStage::Create(const StatsStageConfig& config) {
   return StatsStage(config, *std::move(grid));
 }
 
-void StatsStage::NoteOwned(NodeId id) {
-  if (!owned_only_) {
-    return;
-  }
-  LIRA_DCHECK(id >= 0 &&
-              static_cast<size_t>(id) < stats_cell_of_.size());
-  owned_words_[static_cast<size_t>(id) / 64] |= uint64_t{1}
-                                                << (static_cast<size_t>(id) %
-                                                    64);
-}
-
 void StatsStage::ForgetNode(NodeId id) {
   LIRA_DCHECK(id >= 0 &&
               static_cast<size_t>(id) < stats_cell_of_.size());
   if (stats_cell_of_[id] >= 0) {
-    grid_.RemoveNodeAt(stats_cell_of_[id], stats_speed_of_[id]);
+    grid_.RemoveNodeQAt(stats_cell_of_[id], stats_speed_q_of_[id]);
     stats_cell_of_[id] = -1;
-    stats_speed_of_[id] = 0.0;
     stats_speed_q_of_[id] = 0;
-  }
-  if (owned_only_) {
-    owned_words_[static_cast<size_t>(id) / 64] &=
-        ~(uint64_t{1} << (static_cast<size_t>(id) % 64));
-  }
-}
-
-int64_t StatsStage::RelocateNode(const PositionTracker& tracker, NodeId id,
-                                 double now) {
-  const auto position = tracker.PredictAt(id, now);
-  int32_t new_cell = -1;
-  double new_speed = 0.0;
-  if (position.has_value()) {
-    const Point where = world_.Clamp(*position);
-    new_cell = grid_.CellIndexOf(where);
-    new_speed = tracker.BelievedSpeed(id);
-  }
-  const int32_t old_cell = stats_cell_of_[id];
-  if (old_cell == new_cell &&
-      (new_cell < 0 || StatisticsGrid::QuantizeSpeed(stats_speed_of_[id]) ==
-                           StatisticsGrid::QuantizeSpeed(new_speed))) {
-    return 0;
-  }
-  int64_t dirtied = 0;
-  if (old_cell >= 0) {
-    grid_.RemoveNodeAt(old_cell, stats_speed_of_[id]);
-    ++dirtied;
-  }
-  if (new_cell >= 0) {
-    grid_.AddNodeAt(new_cell, new_speed);
-    if (new_cell != old_cell) {
-      ++dirtied;
-    }
-  }
-  stats_cell_of_[id] = new_cell;
-  stats_speed_of_[id] = new_speed;
-  stats_speed_q_of_[id] =
-      new_cell >= 0 ? StatisticsGrid::QuantizeSpeed(new_speed) : 0;
-  return dirtied;
-}
-
-void StatsStage::RebuildNodesIncremental(const PositionTracker& tracker,
-                                         double now) {
-  // Delta maintenance: relocate only the contributions whose cell or
-  // quantized speed changed since the last rebuild. The grid's integer
-  // accumulators make the result bitwise identical to ClearNodes() + full
-  // repopulation, and at fraction 1.0 neither path draws from stats_rng_,
-  // so the two paths are interchangeable mid-run.
-  int64_t dirtied = 0;
-  if (owned_only_) {
-    // Ascending set bits == ascending ids; unmarked ids are no-ops in the
-    // all-ids loop (no model, no previous contribution), so the two
-    // iteration orders produce the same accumulator sequence.
-    for (size_t w = 0; w < owned_words_.size(); ++w) {
-      uint64_t word = owned_words_[w];
-      while (word != 0) {
-        const int bit = __builtin_ctzll(word);
-        word &= word - 1;
-        dirtied += RelocateNode(
-            tracker, static_cast<NodeId>(w * 64 + static_cast<size_t>(bit)),
-            now);
-      }
-    }
-  } else {
-    for (NodeId id = 0; id < tracker.num_nodes(); ++id) {
-      dirtied += RelocateNode(tracker, id, now);
-    }
-  }
-  if (cells_dirtied_counter_ != nullptr) {
-    cells_dirtied_counter_->Increment(dirtied);
   }
 }
 
@@ -166,8 +77,8 @@ int64_t StatsStage::RelocateRange(const PositionTracker& tracker, double now,
     tracker.PredictSpan(static_cast<NodeId>(block), n, now, nullptr, nullptr,
                         px, py, known);
     // The LocateCells kernel clamps internally and Rect::Clamp is
-    // idempotent, so locating the raw predicted points matches the scalar
-    // path's Clamp-then-CellIndexOf bit-for-bit; unknown lanes come back -1.
+    // idempotent, so locating the raw predicted points matches a per-node
+    // Clamp-then-CellIndexOf bit-for-bit; unknown lanes come back -1.
     grid_.LocateCells(n, px, py, known, cells);
     // Vectorized fast-path test: same cell, same velocity bits -> the grid
     // already holds this node's exact contribution. (A -1 unknown lane
@@ -199,21 +110,18 @@ int64_t StatsStage::RelocateRange(const PositionTracker& tracker, double now,
       const int32_t old_cell = stats_cell_of_[id];
       int32_t new_cell = -1;
       int64_t new_q = 0;
-      double new_speed = 0.0;
       if (known[i] != 0) {
         new_cell = cells[i];
         if (old_cell >= 0 && vel_x[id] == stats_vel_x_[id] &&
             vel_y[id] == stats_vel_y_[id]) {
           // Velocity bits unchanged since the stored contribution:
           // BelievedSpeed would hypot the same operands, so the stored
-          // speed (and its cached quantization) is bitwise the recomputed
-          // one. The mask already skipped the same-cell case, so this is
-          // always a pure cell move.
-          new_speed = stats_speed_of_[id];
+          // quantized speed is bitwise the recomputed one. The mask
+          // already skipped the same-cell case, so this is always a pure
+          // cell move.
           new_q = stats_speed_q_of_[id];
         } else {
-          new_speed = tracker.BelievedSpeed(id);
-          new_q = StatisticsGrid::QuantizeSpeed(new_speed);
+          new_q = StatisticsGrid::QuantizeSpeed(tracker.BelievedSpeed(id));
           stats_vel_x_[id] = vel_x[id];
           stats_vel_y_[id] = vel_y[id];
         }
@@ -246,7 +154,6 @@ int64_t StatsStage::RelocateRange(const PositionTracker& tracker, double now,
         }
       }
       stats_cell_of_[id] = new_cell;
-      stats_speed_of_[id] = new_speed;
       stats_speed_q_of_[id] = new_q;
     }
   }
@@ -331,15 +238,10 @@ void StatsStage::RebuildNodesColumnar(const PositionTracker& tracker,
 
 void StatsStage::RebuildNodes(const PositionTracker& tracker, double now) {
   if (IncrementalEnabled()) {
-    // The owned-only path keeps the scalar owned-bitmap iteration: shard
-    // rebuilds already run inside the coordinator's shard fan-out (no pool
-    // here -- ParallelFor does not nest) and touch O(owned) ids rather
-    // than scanning every lane.
-    if (columnar_rebuild_ && !owned_only_) {
-      RebuildNodesColumnar(tracker, now);
-    } else {
-      RebuildNodesIncremental(tracker, now);
-    }
+    // Delta maintenance: the grid's integer accumulators make the result
+    // bitwise identical to ClearNodes() + full repopulation, and at
+    // fraction 1.0 neither path draws from stats_rng_.
+    RebuildNodesColumnar(tracker, now);
     return;
   }
   grid_.ClearNodes();

@@ -14,30 +14,25 @@
 //    node id, reported or not, so the stream is a function of (seed,
 //    rebuild ordinal) only.
 //
-// The incremental path comes in two interchangeable flavors sharing the
-// same per-node state:
+// The incremental rebuild is columnar: it streams id blocks through the
+// PredictPositions kernel, locates cells from the bulk-predicted positions
+// (Rect::Clamp is idempotent, so clamping once in the LocateCells kernel
+// matches a per-node Clamp-then-CellIndexOf bit-for-bit), and caches each
+// node's believed velocity so the non-vectorizable std::hypot in
+// BelievedSpeed runs only for nodes whose velocity bits actually changed.
+// With a worker pool the id range splits into contiguous chunks: workers
+// relocate their own nodes into per-worker sparse cell-delta lists which
+// the caller applies in chunk order after the join -- integer deltas from
+// matched remove/add pairs commute, so the grid is bitwise identical for
+// every thread count. The tests compare it bit for bit with the scalar
+// per-node walk in tests/oracle/scalar_stats_walk.h.
 //
-//  * scalar: the original per-node loop (PredictAt + BelievedSpeed per id),
-//    kept verbatim as the bitwise reference path for A/B benchmarking;
-//  * columnar (default): streams id blocks through the PredictPositions
-//    kernel, locates cells from the bulk-predicted positions (Rect::Clamp
-//    is idempotent, so clamping once in CellIndexOf matches the scalar
-//    Clamp-then-locate bit-for-bit), and caches each node's believed
-//    velocity so the non-vectorizable std::hypot in BelievedSpeed runs
-//    only for nodes whose velocity bits actually changed. With a worker
-//    pool the id range splits into contiguous chunks: workers relocate
-//    their own nodes into per-worker sparse cell-delta lists which the
-//    caller applies in chunk order after the join -- integer deltas from
-//    matched remove/add pairs commute, so the grid is bitwise identical
-//    to the scalar path for every thread count.
-//
-// Cluster shards set `owned_only`: the incremental path then iterates just
-// the ids ever marked via NoteOwned (scalar path; shard rebuilds already
-// run inside the coordinator's shard fan-out, and ParallelFor does not
-// nest, so shard stages take no pool). Unmarked ids contribute nothing in
-// either mode (no model -> no cell, no RNG in the incremental path), so an
-// S=1 shard stays bitwise identical to the all-ids server. The sampled
-// path always iterates every id to preserve that per-id RNG stream.
+// The same rebuild serves the single server and every cluster shard. A
+// shard scans every id: the cluster pairs each ForgetNode with the
+// tracker's Forget, so a shard's tracker holds models only for the ids the
+// shard owns, and every other lane is unknown and changes nothing. Shard
+// stages take no pool (their rebuilds already run inside the coordinator's
+// shard fan-out, and ParallelFor does not nest).
 //
 // Query counts are delta-maintained: the registry is append-only, so when
 // only its size grew (same margin), the stage counts just the appended
@@ -74,8 +69,6 @@ struct StatsStageConfig {
   double stats_sample_fraction = 1.0;
   /// Delta-maintain across rebuilds when the fraction is 1.0.
   bool incremental_stats = true;
-  /// Iterate only NoteOwned ids in the incremental path (cluster shards).
-  bool owned_only = false;
   /// Final sampling-RNG seed; the caller pre-mixes (the facade server
   /// passes `seed ^ 0x57a75`, shard k mixes its shard stream in first).
   uint64_t seed = 1234;
@@ -87,10 +80,6 @@ struct StatsStageConfig {
   /// Cluster shard stages must leave this null: their rebuilds run inside
   /// the coordinator's shard fan-out and ParallelFor does not nest.
   ThreadPool* pool = nullptr;
-  /// Columnar incremental rebuild (kernel spans + velocity cache); false
-  /// pins the original scalar per-node loop -- the bitwise reference path
-  /// the adaptation bench A/Bs against.
-  bool columnar_rebuild = true;
 };
 
 /// Grid + rebuild machinery. Not thread-safe; distinct stages (cluster
@@ -112,11 +101,10 @@ class StatsStage {
   void RebuildQueries(const QueryRegistry& queries, double margin);
   void InvalidateQueryCache() { query_stats_valid_ = false; }
 
-  /// Marks a node as owned by this stage (owned_only iteration set).
-  void NoteOwned(NodeId id);
-  /// Retracts a node's grid contribution and ownership mark (cross-shard
-  /// handoff). The incremental path removes the contribution immediately;
-  /// the rebuild paths drop it at their next ClearNodes().
+  /// Retracts a node's grid contribution (cross-shard handoff; the caller
+  /// also forgets the node's tracker model). The incremental path removes
+  /// the contribution immediately; the sampled path drops it at its next
+  /// ClearNodes().
   void ForgetNode(NodeId id);
 
   const StatisticsGrid& grid() const { return grid_; }
@@ -139,10 +127,6 @@ class StatsStage {
 
   StatsStage(const StatsStageConfig& config, StatisticsGrid grid);
 
-  void RebuildNodesIncremental(const PositionTracker& tracker, double now);
-  /// One node's delta-relocation step; returns cells dirtied (0..2).
-  int64_t RelocateNode(const PositionTracker& tracker, NodeId id, double now);
-
   /// Columnar incremental rebuild (see file comment). `deltas` == nullptr
   /// mutates the grid directly (serial mode); otherwise relocations are
   /// queued for deferred application. Returns cells dirtied.
@@ -161,28 +145,22 @@ class StatsStage {
   Rect world_;
   double stats_sample_fraction_;
   bool incremental_stats_;
-  bool owned_only_;
-  bool columnar_rebuild_;
   ThreadPool* pool_;
   StatisticsGrid grid_;
   Rng stats_rng_;
-  /// Delta-maintenance state: each node's last contribution to the grid
-  /// (flat cell index, -1 = none, and the speed it was added with).
+  /// Delta-maintenance state: each node's last contribution to the grid,
+  /// as its flat cell index (-1 = none) and the quantized speed it was
+  /// added with (QuantizeSpeed, valid while the cell is >= 0). The grid
+  /// accumulates only quantized speeds, so the quantized value is the
+  /// exact removal operand.
   std::vector<int32_t> stats_cell_of_;
-  std::vector<double> stats_speed_of_;
-  /// QuantizeSpeed(stats_speed_of_[id]) cached at store time, valid while
-  /// stats_cell_of_[id] >= 0 -- the columnar path's removal operand, saving
-  /// one llround per relocation (the cached value is the same bits the
-  /// on-demand quantization would produce).
   std::vector<int64_t> stats_speed_q_of_;
-  /// Believed-velocity cache (columnar path): the velocity bits behind
-  /// stats_speed_of_. Consulted only while the node contributes
-  /// (stats_cell_of_ >= 0); equal bits let the rebuild reuse the stored
-  /// speed instead of recomputing std::hypot.
+  /// Believed-velocity cache: the velocity bits behind stats_speed_q_of_.
+  /// Consulted only while the node contributes (stats_cell_of_ >= 0);
+  /// equal bits let the rebuild reuse the stored quantized speed instead
+  /// of recomputing std::hypot.
   std::vector<double> stats_vel_x_;
   std::vector<double> stats_vel_y_;
-  /// Owned-id bitmap (64 ids per word), iterated in ascending id order.
-  std::vector<uint64_t> owned_words_;
   /// Columnar-rebuild scratch: one arena (and, under a pool, one delta
   /// list) per worker; arenas hold the per-block prediction spans.
   std::vector<FrameArena> rebuild_arenas_;

@@ -1,12 +1,15 @@
-// The two kernel builds (auto-vectorized vs forced-scalar reference) must
-// be bit-identical, and each kernel must reproduce the scalar expression it
-// replaced bit-for-bit (or, for DeviationFilter, classify every resolved
-// lane consistently with the exact std::hypot comparison).
+// The production kernel build (auto-vectorized) and the oracle's forced-
+// scalar reference build must be bit-identical, and each kernel must
+// reproduce the scalar expression it replaced bit-for-bit (or, for
+// DeviationFilter, classify every resolved lane consistently with the exact
+// std::hypot comparison).
 
 #include "lira/common/kernels.h"
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +18,7 @@
 #include "lira/common/rng.h"
 #include "lira/core/statistics_grid.h"
 #include "lira/motion/linear_model.h"
+#include "oracle/ref_kernels.h"
 
 namespace lira {
 namespace {
@@ -81,8 +85,8 @@ TEST(KernelsTest, ClampPointsMatchesRectClampBitwise) {
   in.a[1] = world.min_x;
   in.b[1] = world.min_y;
   std::vector<double> vx(kLanes), vy(kLanes), rx(kLanes), ry(kLanes);
-  kernels::vec::ClampPoints(kLanes, in.a.data(), in.b.data(), spec, vx.data(),
-                            vy.data());
+  kernels::ClampPoints(kLanes, in.a.data(), in.b.data(), spec, vx.data(),
+                       vy.data());
   kernels::ref::ClampPoints(kLanes, in.a.data(), in.b.data(), spec, rx.data(),
                             ry.data());
   for (int64_t i = 0; i < kLanes; ++i) {
@@ -106,9 +110,9 @@ TEST(KernelsTest, L1SkipMaskMatchesScalarLogic) {
   std::vector<uint8_t> vmask(kLanes), rmask(kLanes);
   const uint8_t* variants[] = {in.v.data(), nullptr};
   for (const uint8_t* np : variants) {
-    kernels::vec::L1SkipMask(kLanes, in.a.data(), in.b.data(), in.c.data(),
-                             in.d.data(), in.e.data(), in.u.data(), np,
-                             vmask.data());
+    kernels::L1SkipMask(kLanes, in.a.data(), in.b.data(), in.c.data(),
+                        in.d.data(), in.e.data(), in.u.data(), np,
+                        vmask.data());
     kernels::ref::L1SkipMask(kLanes, in.a.data(), in.b.data(), in.c.data(),
                              in.d.data(), in.e.data(), in.u.data(), np,
                              rmask.data());
@@ -142,9 +146,9 @@ TEST(KernelsTest, RectWalkDistancesMatchesContainsAndFlipDistance) {
   mxx[1] = new_p.x;  // p exactly on the max edge: outside, gap +0
   std::vector<double> vside(kLanes), rside(kLanes);
   std::vector<double> vflip(kLanes), rflip(kLanes);
-  kernels::vec::RectWalkDistances(kLanes, mnx.data(), mny.data(), mxx.data(),
-                                  mxy.data(), old_p.x, old_p.y, new_p.x,
-                                  new_p.y, vside.data(), vflip.data());
+  kernels::RectWalkDistances(kLanes, mnx.data(), mny.data(), mxx.data(),
+                             mxy.data(), old_p.x, old_p.y, new_p.x,
+                             new_p.y, vside.data(), vflip.data());
   kernels::ref::RectWalkDistances(kLanes, mnx.data(), mny.data(), mxx.data(),
                                   mxy.data(), old_p.x, old_p.y, new_p.x,
                                   new_p.y, rside.data(), rflip.data());
@@ -203,9 +207,9 @@ TEST(KernelsTest, DeviationFilterDecisionsMatchExactHypotComparison) {
   t0[1] = t;
   delta[1] = 0.0;
   std::vector<uint8_t> vdec(kLanes), rdec(kLanes);
-  kernels::vec::DeviationFilter(kLanes, ox.data(), oy.data(), vx.data(),
-                                vy.data(), t0.data(), has.data(), t, px.data(),
-                                py.data(), delta.data(), vdec.data());
+  kernels::DeviationFilter(kLanes, ox.data(), oy.data(), vx.data(),
+                           vy.data(), t0.data(), has.data(), t, px.data(),
+                           py.data(), delta.data(), vdec.data());
   kernels::ref::DeviationFilter(kLanes, ox.data(), oy.data(), vx.data(),
                                 vy.data(), t0.data(), has.data(), t, px.data(),
                                 py.data(), delta.data(), rdec.data());
@@ -235,12 +239,12 @@ TEST(KernelsTest, DeviationFilterDecisionsMatchExactHypotComparison) {
   // The uniform-delta variant agrees lane-for-lane at a fixed threshold.
   std::vector<double> flat(kLanes, 12.5);
   std::vector<uint8_t> udec(kLanes), fdec(kLanes);
-  kernels::vec::DeviationFilterUniform(kLanes, ox.data(), oy.data(), vx.data(),
-                                       vy.data(), t0.data(), has.data(), t,
-                                       px.data(), py.data(), 12.5, udec.data());
-  kernels::vec::DeviationFilter(kLanes, ox.data(), oy.data(), vx.data(),
-                                vy.data(), t0.data(), has.data(), t, px.data(),
-                                py.data(), flat.data(), fdec.data());
+  kernels::DeviationFilterUniform(kLanes, ox.data(), oy.data(), vx.data(),
+                                  vy.data(), t0.data(), has.data(), t,
+                                  px.data(), py.data(), 12.5, udec.data());
+  kernels::DeviationFilter(kLanes, ox.data(), oy.data(), vx.data(),
+                           vy.data(), t0.data(), has.data(), t, px.data(),
+                           py.data(), flat.data(), fdec.data());
   EXPECT_EQ(udec, fdec);
 }
 
@@ -261,9 +265,9 @@ TEST(KernelsTest, PredictPositionsMatchesLinearModelBitwise) {
     has[i] = i % 3 == 0 ? 0 : 1;
   }
   std::vector<double> vpx(kLanes), vpy(kLanes), rpx(kLanes), rpy(kLanes);
-  kernels::vec::PredictPositions(kLanes, ox.data(), oy.data(), vx.data(),
-                                 vy.data(), t0.data(), has.data(), t, fx.data(),
-                                 fy.data(), vpx.data(), vpy.data());
+  kernels::PredictPositions(kLanes, ox.data(), oy.data(), vx.data(),
+                            vy.data(), t0.data(), has.data(), t, fx.data(),
+                            fy.data(), vpx.data(), vpy.data());
   kernels::ref::PredictPositions(kLanes, ox.data(), oy.data(), vx.data(),
                                  vy.data(), t0.data(), has.data(), t, fx.data(),
                                  fy.data(), rpx.data(), rpy.data());
@@ -288,8 +292,8 @@ TEST(KernelsTest, UnpackFrameWidensExactly) {
   }
   std::vector<double> x(kLanes), y(kLanes), vx(kLanes), vy(kLanes);
   std::vector<double> sx(kLanes), sy(kLanes), svx(kLanes), svy(kLanes);
-  kernels::vec::UnpackFrame(kLanes, states.data(), x.data(), y.data(),
-                            vx.data(), vy.data());
+  kernels::UnpackFrame(kLanes, states.data(), x.data(), y.data(),
+                       vx.data(), vy.data());
   kernels::ref::UnpackFrame(kLanes, states.data(), sx.data(), sy.data(),
                             svx.data(), svy.data());
   for (int64_t i = 0; i < kLanes; ++i) {
@@ -319,8 +323,8 @@ TEST(KernelsTest, LocateCellsMatchesGridCellIndexOfBitwise) {
   std::vector<int32_t> vcell(kLanes), rcell(kLanes);
   const uint8_t* variants[] = {in.u.data(), nullptr};
   for (const uint8_t* known : variants) {
-    kernels::vec::LocateCells(kLanes, in.a.data(), in.b.data(), known, spec,
-                              cell_w, cell_h, kAlpha, vcell.data());
+    kernels::LocateCells(kLanes, in.a.data(), in.b.data(), known, spec,
+                         cell_w, cell_h, kAlpha, vcell.data());
     kernels::ref::LocateCells(kLanes, in.a.data(), in.b.data(), known, spec,
                               cell_w, cell_h, kAlpha, rcell.data());
     for (int64_t i = 0; i < kLanes; ++i) {
@@ -333,11 +337,221 @@ TEST(KernelsTest, LocateCellsMatchesGridCellIndexOfBitwise) {
   }
 }
 
-TEST(KernelsTest, RuntimeDispatchSwitchesPaths) {
-  const bool was = kernels::scalar_reference_enabled();
-  kernels::set_scalar_reference(true);
-  EXPECT_TRUE(kernels::scalar_reference_enabled());
-  kernels::set_scalar_reference(was);
+// Every production kernel against the oracle's scalar reference build, bit
+// for bit, at every length 0..kEdgeMaxLen (each vector body and epilogue
+// shape) with +-0, subnormal and +-inf lanes mixed into every input column.
+// Lanes past n start as a byte sentinel and must come back untouched.
+
+constexpr int64_t kEdgeMaxLen = 64;
+constexpr int64_t kEdgeGuard = 8;
+constexpr int64_t kEdgeLanes = kEdgeMaxLen + kEdgeGuard;
+constexpr uint8_t kSentinel = 0x5a;
+
+/// A double column with every third lane (offset by `seed`) drawn from the
+/// special values in rotation and the rest uniform in [lo, hi).
+std::vector<double> EdgeColumn(uint64_t seed, double lo, double hi) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  const double specials[] = {0.0,    -0.0,     kTiny, -kTiny, 1e-310,
+                             -1e-310, kInf,    -kInf};
+  constexpr size_t kNumSpecials = sizeof(specials) / sizeof(specials[0]);
+  Rng rng(seed);
+  std::vector<double> col(kEdgeLanes);
+  for (size_t i = 0; i < col.size(); ++i) {
+    col[i] = (i + seed) % 3 == 0 ? specials[(i / 3 + seed) % kNumSpecials]
+                                 : rng.Uniform(lo, hi);
+  }
+  return col;
+}
+
+std::vector<uint8_t> EdgeMask(uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> mask(kEdgeLanes);
+  for (uint8_t& m : mask) {
+    m = rng.Uniform(0.0, 1.0) < 0.7 ? 1 : 0;
+  }
+  return mask;
+}
+
+/// An output column pre-filled with the sentinel byte.
+template <typename T>
+std::vector<T> Sentinel() {
+  std::vector<T> out(kEdgeLanes);
+  std::memset(out.data(), kSentinel, out.size() * sizeof(T));
+  return out;
+}
+
+/// Production and reference outputs hold the same bytes, and neither build
+/// wrote past lane n.
+template <typename T>
+void ExpectSameBits(const std::vector<T>& prod, const std::vector<T>& ref,
+                    int64_t n, const char* what) {
+  ASSERT_EQ(prod.size(), ref.size());
+  EXPECT_EQ(std::memcmp(prod.data(), ref.data(), prod.size() * sizeof(T)), 0)
+      << what << " n=" << n;
+  const auto* tail = reinterpret_cast<const uint8_t*>(prod.data() + n);
+  for (size_t b = 0; b < (prod.size() - n) * sizeof(T); ++b) {
+    ASSERT_EQ(tail[b], kSentinel) << what << " wrote past n=" << n;
+  }
+}
+
+TEST(KernelsTest, EveryKernelMatchesReferenceBuildAtEveryShortLength) {
+  const Rect world{0.0, 0.0, 8000.0, 6000.0};
+  constexpr int32_t kAlpha = 64;
+  const kernels::ClampSpec spec{world.min_x, world.min_y, world.clamp_hi_x(),
+                                world.clamp_hi_y()};
+  const double cell_w = world.width() / kAlpha;
+  const double cell_h = world.height() / kAlpha;
+  const double t = 50.0;
+  // Positions and rect edges straddle the world; velocities, times and
+  // thresholds cover signs and magnitudes the callers produce.
+  const auto px = EdgeColumn(1, -1e4, 1e4);
+  const auto py = EdgeColumn(2, -1e4, 1e4);
+  const auto qx = EdgeColumn(3, -1e4, 1e4);
+  const auto qy = EdgeColumn(4, -1e4, 1e4);
+  const auto vx = EdgeColumn(5, -20.0, 20.0);
+  const auto vy = EdgeColumn(6, -20.0, 20.0);
+  const auto t0 = EdgeColumn(7, 0.0, 60.0);
+  const auto delta = EdgeColumn(8, 0.0, 50.0);
+  const auto max_x = EdgeColumn(9, 0.0, 1e4);
+  const auto max_y = EdgeColumn(10, 0.0, 1e4);
+  const auto has = EdgeMask(11);
+  const auto present = EdgeMask(12);
+  // Velocity caches: equal to the live velocity on most lanes (so the
+  // skip mask fires), with the sign of zero flipped on some.
+  std::vector<double> cvx = vx;
+  std::vector<double> cvy = vy;
+  for (int64_t i = 0; i < kEdgeLanes; i += 4) {
+    cvx[i] = cvx[i] == 0.0 ? -cvx[i] : cvx[i] + 1.0;
+  }
+  std::vector<float> frame(4 * kEdgeLanes);
+  for (int64_t i = 0; i < kEdgeLanes; ++i) {
+    frame[4 * i + 0] = static_cast<float>(px[i]);  // +-inf stays +-inf
+    frame[4 * i + 1] = i % 5 == 0 ? std::numeric_limits<float>::denorm_min()
+                                  : static_cast<float>(py[i]);
+    frame[4 * i + 2] = i % 7 == 0 ? -0.0f : static_cast<float>(vx[i]);
+    frame[4 * i + 3] = static_cast<float>(vy[i]);
+  }
+  std::vector<int32_t> old_cell(kEdgeLanes);
+  std::vector<int64_t> addend(kEdgeLanes);
+  Rng rng(13);
+  for (int64_t i = 0; i < kEdgeLanes; ++i) {
+    old_cell[i] = i % 6 == 0 ? -1 : static_cast<int32_t>(rng.Uniform(0, 64));
+    addend[i] = static_cast<int64_t>(rng.Uniform(-1e15, 1e15));
+  }
+
+  for (int64_t n = 0; n <= kEdgeMaxLen; ++n) {
+    {
+      auto ax = Sentinel<double>(), ay = Sentinel<double>();
+      auto bx = Sentinel<double>(), by = Sentinel<double>();
+      kernels::ClampPoints(n, px.data(), py.data(), spec, ax.data(),
+                           ay.data());
+      kernels::ref::ClampPoints(n, px.data(), py.data(), spec, bx.data(),
+                                by.data());
+      ExpectSameBits(ax, bx, n, "ClampPoints x");
+      ExpectSameBits(ay, by, n, "ClampPoints y");
+    }
+    for (const uint8_t* np : {present.data(), static_cast<const uint8_t*>(
+                                                  nullptr)}) {
+      auto a = Sentinel<uint8_t>(), b = Sentinel<uint8_t>();
+      kernels::L1SkipMask(n, px.data(), py.data(), qx.data(), qy.data(),
+                          delta.data(), has.data(), np, a.data());
+      kernels::ref::L1SkipMask(n, px.data(), py.data(), qx.data(), qy.data(),
+                               delta.data(), has.data(), np, b.data());
+      ExpectSameBits(a, b, n, "L1SkipMask");
+    }
+    // Old/new probe points: finite, signed zeros, and infinite.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const Point probes[][2] = {{{1234.5, 2345.5}, {1234.25, 2345.75}},
+                               {{0.0, -0.0}, {-0.0, 0.0}},
+                               {{kInf, 10.0}, {-kInf, 10.0}}};
+    for (const auto& [old_p, new_p] : probes) {
+      auto as = Sentinel<double>(), af = Sentinel<double>();
+      auto bs = Sentinel<double>(), bf = Sentinel<double>();
+      kernels::RectWalkDistances(n, qx.data(), qy.data(), max_x.data(),
+                                 max_y.data(), old_p.x, old_p.y, new_p.x,
+                                 new_p.y, as.data(), af.data());
+      kernels::ref::RectWalkDistances(n, qx.data(), qy.data(), max_x.data(),
+                                      max_y.data(), old_p.x, old_p.y, new_p.x,
+                                      new_p.y, bs.data(), bf.data());
+      ExpectSameBits(as, bs, n, "RectWalkDistances old_side");
+      ExpectSameBits(af, bf, n, "RectWalkDistances new_flip");
+    }
+    {
+      auto a = Sentinel<uint8_t>(), b = Sentinel<uint8_t>();
+      kernels::DeviationFilter(n, qx.data(), qy.data(), vx.data(), vy.data(),
+                               t0.data(), has.data(), t, px.data(), py.data(),
+                               delta.data(), a.data());
+      kernels::ref::DeviationFilter(n, qx.data(), qy.data(), vx.data(),
+                                    vy.data(), t0.data(), has.data(), t,
+                                    px.data(), py.data(), delta.data(),
+                                    b.data());
+      ExpectSameBits(a, b, n, "DeviationFilter");
+    }
+    for (const double d : {0.0, 1e-310, 12.5,
+                           std::numeric_limits<double>::infinity()}) {
+      auto a = Sentinel<uint8_t>(), b = Sentinel<uint8_t>();
+      kernels::DeviationFilterUniform(n, qx.data(), qy.data(), vx.data(),
+                                      vy.data(), t0.data(), has.data(), t,
+                                      px.data(), py.data(), d, a.data());
+      kernels::ref::DeviationFilterUniform(n, qx.data(), qy.data(), vx.data(),
+                                           vy.data(), t0.data(), has.data(),
+                                           t, px.data(), py.data(), d,
+                                           b.data());
+      ExpectSameBits(a, b, n, "DeviationFilterUniform");
+    }
+    for (const bool fallback : {true, false}) {
+      auto ax = Sentinel<double>(), ay = Sentinel<double>();
+      auto bx = Sentinel<double>(), by = Sentinel<double>();
+      const double* fx = fallback ? px.data() : nullptr;
+      const double* fy = fallback ? py.data() : nullptr;
+      kernels::PredictPositions(n, qx.data(), qy.data(), vx.data(), vy.data(),
+                                t0.data(), has.data(), t, fx, fy, ax.data(),
+                                ay.data());
+      kernels::ref::PredictPositions(n, qx.data(), qy.data(), vx.data(),
+                                     vy.data(), t0.data(), has.data(), t, fx,
+                                     fy, bx.data(), by.data());
+      ExpectSameBits(ax, bx, n, "PredictPositions x");
+      ExpectSameBits(ay, by, n, "PredictPositions y");
+    }
+    {
+      auto a0 = Sentinel<double>(), a1 = Sentinel<double>(),
+           a2 = Sentinel<double>(), a3 = Sentinel<double>();
+      auto b0 = Sentinel<double>(), b1 = Sentinel<double>(),
+           b2 = Sentinel<double>(), b3 = Sentinel<double>();
+      kernels::UnpackFrame(n, frame.data(), a0.data(), a1.data(), a2.data(),
+                           a3.data());
+      kernels::ref::UnpackFrame(n, frame.data(), b0.data(), b1.data(),
+                                b2.data(), b3.data());
+      ExpectSameBits(a0, b0, n, "UnpackFrame x");
+      ExpectSameBits(a1, b1, n, "UnpackFrame y");
+      ExpectSameBits(a2, b2, n, "UnpackFrame vx");
+      ExpectSameBits(a3, b3, n, "UnpackFrame vy");
+    }
+    {
+      auto a = Sentinel<int64_t>(), b = Sentinel<int64_t>();
+      kernels::AddI64(n, addend.data(), a.data());
+      kernels::ref::AddI64(n, addend.data(), b.data());
+      ExpectSameBits(a, b, n, "AddI64");
+    }
+    for (const uint8_t* known : {has.data(), static_cast<const uint8_t*>(
+                                                 nullptr)}) {
+      auto a = Sentinel<int32_t>(), b = Sentinel<int32_t>();
+      kernels::LocateCells(n, px.data(), py.data(), known, spec, cell_w,
+                           cell_h, kAlpha, a.data());
+      kernels::ref::LocateCells(n, px.data(), py.data(), known, spec, cell_w,
+                                cell_h, kAlpha, b.data());
+      ExpectSameBits(a, b, n, "LocateCells");
+      // The cells feed the skip mask, as in the statistics rebuild.
+      auto sa = Sentinel<uint8_t>(), sb = Sentinel<uint8_t>();
+      kernels::RelocateSkipMask(n, a.data(), old_cell.data(), vx.data(),
+                                vy.data(), cvx.data(), cvy.data(), sa.data());
+      kernels::ref::RelocateSkipMask(n, a.data(), old_cell.data(), vx.data(),
+                                     vy.data(), cvx.data(), cvy.data(),
+                                     sb.data());
+      ExpectSameBits(sa, sb, n, "RelocateSkipMask");
+    }
+  }
 }
 
 }  // namespace

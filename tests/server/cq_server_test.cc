@@ -356,15 +356,14 @@ TEST_F(CqServerTest, TelemetryRecordsAdaptationLoop) {
   // Per-stage spans fired per adaptation and sum to less than the total.
   for (const char* span_name :
        {"lira.adapt.total_seconds", "lira.adapt.stats_rebuild_seconds",
-        "lira.adapt.plan_build_seconds", "lira.adapt.grid_reduce_seconds",
-        "lira.adapt.greedy_increment_seconds"}) {
+        "lira.adapt.plan_build_seconds", "lira.adapt.gridreduce_seconds",
+        "lira.adapt.greedy_seconds"}) {
     const auto spans = events.Select(EventKind::kSpan, span_name);
     EXPECT_EQ(spans.size(), 2u) << span_name;
     EXPECT_EQ(metrics.FindHistogram(span_name)->count(), 2) << span_name;
   }
-  EXPECT_LE(metrics.FindHistogram("lira.adapt.grid_reduce_seconds")->max() +
-                metrics.FindHistogram("lira.adapt.greedy_increment_seconds")
-                    ->max(),
+  EXPECT_LE(metrics.FindHistogram("lira.adapt.gridreduce_seconds")->max() +
+                metrics.FindHistogram("lira.adapt.greedy_seconds")->max(),
             metrics.FindHistogram("lira.adapt.total_seconds")->max() * 2.0);
 
   // GRIDREDUCE drill-down accounting: 4 splits per build, each split event

@@ -8,6 +8,7 @@
 
 #include "lira/common/rng.h"
 #include "lira/telemetry/telemetry.h"
+#include "oracle/scalar_stats_walk.h"
 
 namespace lira {
 namespace {
@@ -124,6 +125,154 @@ TEST_F(ServerClusterTest, CreateValidation) {
   EXPECT_FALSE(ServerCluster::Create(config, &uniform_policy_, &*reduction_,
                                      &queries_)
                    .ok());
+}
+
+TEST_F(ServerClusterTest, InvalidServerConfigsRejectedByBothCreates) {
+  // CqServer and ServerCluster share one validation of the server config:
+  // every invalid config (or missing collaborator) fails both Creates, with
+  // the same status.
+  struct Case {
+    const char* name;
+    void (*mutate)(CqServerConfig*);
+    bool null_policy = false;
+    bool null_reduction = false;
+    bool null_queries = false;
+  };
+  const Case cases[] = {
+      {"zero nodes", [](CqServerConfig* c) { c->num_nodes = 0; }},
+      {"negative nodes", [](CqServerConfig* c) { c->num_nodes = -3; }},
+      {"zero service rate", [](CqServerConfig* c) { c->service_rate = 0.0; }},
+      {"negative service rate",
+       [](CqServerConfig* c) { c->service_rate = -5.0; }},
+      {"zero period", [](CqServerConfig* c) { c->adaptation_period = 0.0; }},
+      {"negative period",
+       [](CqServerConfig* c) { c->adaptation_period = -1.0; }},
+      {"fixed z below 0",
+       [](CqServerConfig* c) {
+         c->auto_throttle = false;
+         c->fixed_z = -0.1;
+       }},
+      {"fixed z above 1",
+       [](CqServerConfig* c) {
+         c->auto_throttle = false;
+         c->fixed_z = 1.1;
+       }},
+      {"zero sample fraction",
+       [](CqServerConfig* c) { c->stats_sample_fraction = 0.0; }},
+      {"sample fraction above 1",
+       [](CqServerConfig* c) { c->stats_sample_fraction = 1.5; }},
+      {"null policy", [](CqServerConfig*) {}, true},
+      {"null reduction", [](CqServerConfig*) {}, false, true},
+      {"null queries", [](CqServerConfig*) {}, false, false, true},
+  };
+  for (const Case& c : cases) {
+    ServerClusterConfig config = ClusterConfig(2);
+    c.mutate(&config.server);
+    const LoadSheddingPolicy* policy =
+        c.null_policy ? nullptr : &uniform_policy_;
+    const UpdateReductionFunction* reduction =
+        c.null_reduction ? nullptr : &*reduction_;
+    const QueryRegistry* queries = c.null_queries ? nullptr : &queries_;
+    const auto single =
+        CqServer::Create(config.server, policy, reduction, queries);
+    const auto cluster =
+        ServerCluster::Create(config, policy, reduction, queries);
+    ASSERT_FALSE(single.ok()) << c.name;
+    ASSERT_FALSE(cluster.ok()) << c.name;
+    EXPECT_EQ(single.status().ToString(), cluster.status().ToString())
+        << c.name;
+  }
+  // An out-of-range fixed z is ignored while THROTLOOP drives z.
+  ServerClusterConfig config = ClusterConfig(2);
+  config.server.fixed_z = 7.0;
+  EXPECT_TRUE(CqServer::Create(config.server, &uniform_policy_, &*reduction_,
+                               &queries_)
+                  .ok());
+  EXPECT_TRUE(ServerCluster::Create(config, &uniform_policy_, &*reduction_,
+                                    &queries_)
+                  .ok());
+}
+
+TEST_F(ServerClusterTest, ShardStateFollowsOwnershipAcrossMigrations) {
+  // Every shard scans all ids in its statistics rebuild, which is exact
+  // only because a shard's tracker holds models just for the ids it owns.
+  // Drive handoffs (nodes crossing strips) and rebalance migrations (a
+  // flash crowd under rebalance_stride = 1), then check after every
+  // adaptation that each shard holds a model only for ids the owner map
+  // gives it and that its grid equals the oracle's scalar walk over those
+  // ids. (An owned id may have no model anywhere: when the previous owner
+  // and a lower-indexed shard both apply a node in one tick, ProcessHandoffs
+  // retracts both models. The node is then untracked until it reports
+  // again, and contributes to no grid.)
+  constexpr int32_t kNodes = 160;
+  for (int32_t shards : {1, 4, 8}) {
+    ServerClusterConfig config = ClusterConfig(shards, 2);
+    config.server.num_nodes = kNodes;
+    config.server.queue_capacity = 128;
+    config.server.service_rate = 90.0;  // lossy: queues hold stale reports
+    config.rebalance_stride = 1;
+    auto cluster = MustCreate(config);
+
+    Rng rng(shards);
+    std::vector<Point> pos(kNodes);
+    for (Point& p : pos) {
+      p = {rng.Uniform(0.0, 1600.0), rng.Uniform(0.0, 1600.0)};
+    }
+    int64_t checked = 0;
+    int64_t tracked = 0;
+    for (int t = 0; t < 60; ++t) {
+      if (t == 16) {  // flash crowd: most nodes pile into x in [400, 600)
+        for (NodeId id = 0; id < kNodes; ++id) {
+          if (id % 8 != 0) {
+            pos[id] = {rng.Uniform(400.0, 600.0), rng.Uniform(0.0, 1600.0)};
+          }
+        }
+      }
+      std::vector<ModelUpdate> batch;
+      for (NodeId id = 0; id < kNodes; ++id) {
+        pos[id].x += rng.Uniform(-60.0, 60.0);
+        pos[id].y += rng.Uniform(-60.0, 60.0);
+        if (rng.Uniform(0.0, 1.0) < 0.4) continue;
+        batch.push_back(UpdateFor(
+            id, pos[id], {rng.Uniform(-8.0, 8.0), rng.Uniform(-8.0, 8.0)}, t));
+      }
+      const int64_t builds = cluster->plan_builds();
+      cluster->Receive(std::move(batch));
+      ASSERT_TRUE(cluster->Tick(1.0).ok());
+      if (cluster->plan_builds() == builds) {
+        continue;  // grids refresh only at adaptations
+      }
+      for (int32_t k = 0; k < shards; ++k) {
+        const PositionTracker& tracker = cluster->shard_tracker(k);
+        auto walk = oracle::ScalarStatsWalk::Create(kWorld, 16, kNodes);
+        ASSERT_TRUE(walk.ok());
+        for (NodeId id = 0; id < kNodes; ++id) {
+          const bool owned = cluster->owner_of(id) == k;
+          ASSERT_TRUE(owned || !tracker.HasModel(id))
+              << "S=" << shards << " t=" << t << " shard " << k
+              << " holds a model for id " << id << " owned by shard "
+              << cluster->owner_of(id);
+          tracked += tracker.HasModel(id) ? 1 : 0;
+          if (owned) {
+            walk->Relocate(tracker, id, cluster->time());
+          }
+        }
+        ASSERT_EQ(oracle::FirstNodeStatsMismatch(cluster->shard_stats(k),
+                                                 walk->grid()),
+                  -1)
+            << "S=" << shards << " t=" << t << " shard " << k;
+        ++checked;
+      }
+    }
+    EXPECT_GE(checked, 10 * shards);
+    // On average more than half the nodes hold a model at each check, so
+    // the grids compared are far from empty.
+    EXPECT_GT(tracked, checked * kNodes / (2 * shards));
+    if (shards > 1) {
+      EXPECT_GE(cluster->map_epoch(), 1) << "S=" << shards;
+      EXPECT_GT(cluster->nodes_migrated(), 0) << "S=" << shards;
+    }
+  }
 }
 
 TEST_F(ServerClusterTest, SingleShardBitwiseMatchesCqServer) {

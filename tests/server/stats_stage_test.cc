@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "lira/common/parallel.h"
 #include "lira/common/rng.h"
 #include "lira/telemetry/telemetry.h"
+#include "oracle/scalar_stats_walk.h"
 
 namespace lira {
 namespace {
@@ -77,55 +80,67 @@ TEST(StatsStageTest, IncrementalMatchesFullRescanBitwise) {
   }
 }
 
-TEST(StatsStageTest, OwnedOnlyIterationMatchesAllIdsWhenAllOwned) {
-  auto all_ids = StatsStage::Create(BaseConfig());
-  auto config = BaseConfig();
-  config.owned_only = true;
-  auto owned = StatsStage::Create(config);
-  ASSERT_TRUE(all_ids.ok() && owned.ok());
-
-  PositionTracker tracker(60);
-  for (NodeId id = 0; id < 60; ++id) {
-    tracker.Apply(UpdateFor(id, {26.0 * id, 26.0 * id}, {1.0, 0.0}, 0.0));
-    owned->NoteOwned(id);
-  }
-  all_ids->RebuildNodes(tracker, 1.0);
-  owned->RebuildNodes(tracker, 1.0);
-  for (int32_t iy = 0; iy < 16; ++iy) {
-    for (int32_t ix = 0; ix < 16; ++ix) {
-      ASSERT_EQ(all_ids->grid().NodeCount(ix, iy),
-                owned->grid().NodeCount(ix, iy));
-      ASSERT_EQ(all_ids->grid().MeanSpeed(ix, iy),
-                owned->grid().MeanSpeed(ix, iy));
+TEST(StatsStageTest, ShardRebuildMatchesOracleOverOwnedIds) {
+  // A cluster shard's tracker holds models only for the ids the shard owns:
+  // every handoff pairs ForgetNode with the tracker's Forget. Scanning every
+  // id must then equal the oracle's scalar walk over just the owned ids,
+  // across epochs where nodes hand off, go silent and come back.
+  constexpr int32_t kNodes = 60;
+  auto stage = StatsStage::Create(BaseConfig(kNodes));
+  auto walk = oracle::ScalarStatsWalk::Create(kWorld, 16, kNodes);
+  ASSERT_TRUE(stage.ok() && walk.ok());
+  PositionTracker all(kNodes);    // every node's latest model
+  PositionTracker shard(kNodes);  // only the owned nodes' models
+  std::vector<bool> owned(kNodes, false);
+  Rng rng(53);
+  for (int t = 0; t < 12; ++t) {
+    for (NodeId id = 0; id < kNodes; ++id) {
+      if (rng.Uniform(0.0, 1.0) < 0.3) continue;  // silent this epoch
+      const ModelUpdate update = UpdateFor(
+          id, {rng.Uniform(-40.0, 1640.0), rng.Uniform(-40.0, 1640.0)},
+          {rng.Uniform(-8.0, 8.0), rng.Uniform(-8.0, 8.0)}, t);
+      all.Apply(update);
+      if (rng.Uniform(0.0, 1.0) < 0.6) {
+        shard.Apply(update);
+        owned[id] = true;
+      } else if (owned[id]) {  // handed off to another shard
+        stage->ForgetNode(id);
+        shard.Forget(id);
+        walk->Forget(id);
+        owned[id] = false;
+      }
     }
+    stage->RebuildNodes(shard, t + 0.5);
+    for (NodeId id = 0; id < kNodes; ++id) {
+      if (owned[id]) {
+        walk->Relocate(all, id, t + 0.5);
+      }
+    }
+    ASSERT_EQ(oracle::FirstNodeStatsMismatch(stage->grid(), walk->grid()), -1)
+        << "t=" << t;
   }
 }
 
-TEST(StatsStageTest, OwnedOnlySkipsUnownedAndForgetRetracts) {
-  auto config = BaseConfig(10);
-  config.owned_only = true;
-  auto stage = StatsStage::Create(config);
+TEST(StatsStageTest, ForgetNodeRetractsImmediately) {
+  auto stage = StatsStage::Create(BaseConfig(10));
   ASSERT_TRUE(stage.ok());
   PositionTracker tracker(10);
   for (NodeId id = 0; id < 10; ++id) {
     tracker.Apply(UpdateFor(id, {100.0 + 10.0 * id, 100.0}, {0.0, 0.0}, 0.0));
   }
-  // Only ids 0..4 are owned by this stage.
-  for (NodeId id = 0; id < 5; ++id) {
-    stage->NoteOwned(id);
-  }
   stage->RebuildNodes(tracker, 0.0);
-  EXPECT_DOUBLE_EQ(stage->grid().TotalNodes(), 5.0);
+  EXPECT_DOUBLE_EQ(stage->grid().TotalNodes(), 10.0);
 
   // Handoff: node 2 migrates away; its contribution disappears immediately.
   stage->ForgetNode(2);
-  EXPECT_DOUBLE_EQ(stage->grid().TotalNodes(), 4.0);
-  // And it stays out of later rebuilds until re-owned.
+  tracker.Forget(2);
+  EXPECT_DOUBLE_EQ(stage->grid().TotalNodes(), 9.0);
+  // And it stays out of later rebuilds until its model comes back.
   stage->RebuildNodes(tracker, 1.0);
-  EXPECT_DOUBLE_EQ(stage->grid().TotalNodes(), 4.0);
-  stage->NoteOwned(2);
+  EXPECT_DOUBLE_EQ(stage->grid().TotalNodes(), 9.0);
+  tracker.Apply(UpdateFor(2, {120.0, 100.0}, {0.0, 0.0}, 2.0));
   stage->RebuildNodes(tracker, 2.0);
-  EXPECT_DOUBLE_EQ(stage->grid().TotalNodes(), 5.0);
+  EXPECT_DOUBLE_EQ(stage->grid().TotalNodes(), 10.0);
 }
 
 TEST(StatsStageTest, QueryRebuildCachesOnSizeAndMargin) {
@@ -151,15 +166,13 @@ TEST(StatsStageTest, QueryRebuildCachesOnSizeAndMargin) {
   EXPECT_DOUBLE_EQ(stage->grid().TotalQueries(), with_margin);
 }
 
-TEST(StatsStageTest, ColumnarMatchesScalarIncrementalBitwise) {
-  // The columnar (block-predicted, velocity-cached) rebuild is the default;
-  // the scalar per-node walk is the reference. Both must agree bitwise on
-  // every cell across epochs with silent nodes and re-located nodes.
-  auto columnar = StatsStage::Create(BaseConfig());
-  auto config = BaseConfig();
-  config.columnar_rebuild = false;
-  auto scalar = StatsStage::Create(config);
-  ASSERT_TRUE(columnar.ok() && scalar.ok());
+TEST(StatsStageTest, IncrementalMatchesOracleWalkBitwise) {
+  // The columnar (block-predicted, velocity-cached) rebuild against the
+  // oracle's scalar per-node walk: bitwise equal on every cell across
+  // epochs with silent nodes and re-located nodes.
+  auto stage = StatsStage::Create(BaseConfig());
+  auto walk = oracle::ScalarStatsWalk::Create(kWorld, 16, 60);
+  ASSERT_TRUE(stage.ok() && walk.ok());
 
   PositionTracker tracker(60);
   Rng rng(47);
@@ -172,22 +185,14 @@ TEST(StatsStageTest, ColumnarMatchesScalarIncrementalBitwise) {
                               {rng.Uniform(-8.0, 8.0), rng.Uniform(-8.0, 8.0)},
                               t));
     }
-    columnar->RebuildNodes(tracker, t + 0.5);
-    scalar->RebuildNodes(tracker, t + 0.5);
-    for (int32_t iy = 0; iy < 16; ++iy) {
-      for (int32_t ix = 0; ix < 16; ++ix) {
-        ASSERT_EQ(columnar->grid().NodeCount(ix, iy),
-                  scalar->grid().NodeCount(ix, iy))
-            << "t=" << t << " cell (" << ix << ", " << iy << ")";
-        ASSERT_EQ(columnar->grid().MeanSpeed(ix, iy),
-                  scalar->grid().MeanSpeed(ix, iy))
-            << "t=" << t << " cell (" << ix << ", " << iy << ")";
-      }
-    }
+    stage->RebuildNodes(tracker, t + 0.5);
+    walk->RebuildAll(tracker, t + 0.5);
+    ASSERT_EQ(oracle::FirstNodeStatsMismatch(stage->grid(), walk->grid()), -1)
+        << "t=" << t;
   }
 }
 
-TEST(StatsStageTest, PooledColumnarMatchesSerialBitwise) {
+TEST(StatsStageTest, PooledRebuildMatchesOracleBitwise) {
   // Enough nodes to cross the parallel block threshold so the pooled stage
   // actually splits the id range across workers and merges per-chunk delta
   // lists in chunk order.
@@ -197,8 +202,8 @@ TEST(StatsStageTest, PooledColumnarMatchesSerialBitwise) {
     auto config = BaseConfig(kNodes);
     config.pool = &pool;
     auto pooled = StatsStage::Create(config);
-    auto reference = StatsStage::Create(BaseConfig(kNodes));
-    ASSERT_TRUE(pooled.ok() && reference.ok());
+    auto walk = oracle::ScalarStatsWalk::Create(kWorld, 16, kNodes);
+    ASSERT_TRUE(pooled.ok() && walk.ok());
 
     PositionTracker tracker(kNodes);
     Rng rng(threads);
@@ -211,17 +216,10 @@ TEST(StatsStageTest, PooledColumnarMatchesSerialBitwise) {
                       {rng.Uniform(-8.0, 8.0), rng.Uniform(-8.0, 8.0)}, t));
       }
       pooled->RebuildNodes(tracker, t + 0.5);
-      reference->RebuildNodes(tracker, t + 0.5);
-    }
-    for (int32_t iy = 0; iy < 16; ++iy) {
-      for (int32_t ix = 0; ix < 16; ++ix) {
-        ASSERT_EQ(reference->grid().NodeCount(ix, iy),
-                  pooled->grid().NodeCount(ix, iy))
-            << "threads=" << threads << " cell (" << ix << ", " << iy << ")";
-        ASSERT_EQ(reference->grid().MeanSpeed(ix, iy),
-                  pooled->grid().MeanSpeed(ix, iy))
-            << "threads=" << threads << " cell (" << ix << ", " << iy << ")";
-      }
+      walk->RebuildAll(tracker, t + 0.5);
+      ASSERT_EQ(oracle::FirstNodeStatsMismatch(pooled->grid(), walk->grid()),
+                -1)
+          << "threads=" << threads << " t=" << t;
     }
   }
 }
