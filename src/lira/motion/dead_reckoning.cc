@@ -64,8 +64,10 @@ void DeadReckoningEncoder::ResolveAndMaybeSend(NodeId id, double ox, double oy,
   t0_[id] = t;
   has_model_[id] = 1;
   ++*emitted;
-  out->push_back(
-      ModelUpdate{id, LinearMotionModel{Point{ox, oy}, Vec2{vx, vy}, t}});
+  if (out != nullptr) {
+    out->push_back(
+        ModelUpdate{id, LinearMotionModel{Point{ox, oy}, Vec2{vx, vy}, t}});
+  }
 }
 
 void DeadReckoningEncoder::ObserveSpan(NodeId begin, int64_t n,
@@ -100,9 +102,11 @@ void DeadReckoningEncoder::ObserveSpan(NodeId begin, int64_t n,
     t0_[id] = t;
     has_model_[id] = 1;
     ++emitted;
-    out->push_back(ModelUpdate{
-        id, LinearMotionModel{Point{obs_x[i], obs_y[i]},
-                              Vec2{obs_vx[i], obs_vy[i]}, t}});
+    if (out != nullptr) {
+      out->push_back(ModelUpdate{
+          id, LinearMotionModel{Point{obs_x[i], obs_y[i]},
+                                Vec2{obs_vx[i], obs_vy[i]}, t}});
+    }
   }
   if (emitted > 0) {
     updates_emitted_.fetch_add(emitted, std::memory_order_relaxed);
@@ -137,9 +141,11 @@ void DeadReckoningEncoder::ObserveSpanUniform(
     t0_[id] = t;
     has_model_[id] = 1;
     ++emitted;
-    out->push_back(ModelUpdate{
-        id, LinearMotionModel{Point{obs_x[i], obs_y[i]},
-                              Vec2{obs_vx[i], obs_vy[i]}, t}});
+    if (out != nullptr) {
+      out->push_back(ModelUpdate{
+          id, LinearMotionModel{Point{obs_x[i], obs_y[i]},
+                                Vec2{obs_vx[i], obs_vy[i]}, t}});
+    }
   }
   if (emitted > 0) {
     updates_emitted_.fetch_add(emitted, std::memory_order_relaxed);

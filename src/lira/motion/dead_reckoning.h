@@ -60,6 +60,7 @@ class DeadReckoningEncoder {
   /// DeviationFilter kernel classifies lanes as certainly-send /
   /// certainly-keep with a band that swallows every rounding difference,
   /// and ambiguous lanes fall back to Observe's exact hypot comparison.
+  /// `out` may be nullptr to only advance the models and the counter.
   void ObserveSpan(NodeId begin, int64_t n, const double* obs_x,
                    const double* obs_y, const double* obs_vx,
                    const double* obs_vy, double t, const double* delta,

@@ -1,5 +1,7 @@
 #include "lira/motion/second_order.h"
 
+#include <cmath>
+
 #include "lira/common/check.h"
 
 namespace lira {
@@ -67,8 +69,8 @@ std::optional<Point> SecondOrderTracker::PredictAt(NodeId id,
 
 StatusOr<double> MeasureSecondOrderUpdateRate(const Trace& trace,
                                               double delta) {
-  if (delta <= 0.0) {
-    return InvalidArgumentError("delta must be positive");
+  if (!(std::isfinite(delta) && delta > 0.0)) {
+    return InvalidArgumentError("delta must be finite and positive");
   }
   if (trace.num_frames() < 2) {
     return FailedPreconditionError("trace too short");

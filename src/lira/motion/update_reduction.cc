@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "lira/common/kernels.h"
 #include "lira/motion/dead_reckoning.h"
 
 namespace lira {
@@ -142,82 +143,149 @@ double AnalyticReduction::InverseEval(double target) const {
   return hi;
 }
 
-StatusOr<std::vector<std::pair<double, double>>> MeasureReductionProbes(
-    const Trace& trace, const CalibrationConfig& config) {
-  if (!(0.0 < config.delta_min && config.delta_min < config.delta_max)) {
-    return InvalidArgumentError("require 0 < delta_min < delta_max");
+namespace {
+
+Status ValidateCalibration(const CalibrationConfig& config) {
+  if (!(std::isfinite(config.delta_min) && std::isfinite(config.delta_max) &&
+        0.0 < config.delta_min && config.delta_min < config.delta_max)) {
+    return InvalidArgumentError("require finite 0 < delta_min < delta_max");
   }
   if (config.num_probes < 2) {
     return InvalidArgumentError("need at least 2 probe thresholds");
   }
+  if (config.kappa < 1) {
+    return InvalidArgumentError("kappa must be >= 1");
+  }
+  return OkStatus();
+}
+
+// Counts the updates dead reckoning emits on `trace` at each threshold of
+// `deltas`; frame 0 initializes every node's reference model and is not
+// counted. One pass over the trace serves every threshold: per chunk of
+// node ids it keeps one SoA encoder per threshold, widens the chunk's slice
+// of each frame once and runs the uniform-threshold deviation filter over
+// it per encoder. Dead reckoning is independent per node and
+// ObserveSpanUniform is bitwise equal to scalar Observe, so each count
+// equals a scalar pass at that threshold; integer sums do not depend on
+// the chunking.
+std::vector<int64_t> SweepUpdateCounts(const Trace& trace,
+                                       const std::vector<double>& deltas) {
+  const int32_t num_nodes = trace.num_nodes();
+  const size_t chunk_cap = static_cast<size_t>(
+      std::min(num_nodes, kCalibrationChunkNodes));
+  std::vector<double> x(chunk_cap);
+  std::vector<double> y(chunk_cap);
+  std::vector<double> vx(chunk_cap);
+  std::vector<double> vy(chunk_cap);
+  std::vector<uint8_t> decision(chunk_cap);
+  std::vector<int64_t> counts(deltas.size(), 0);
+  std::vector<DeadReckoningEncoder> encoders;
+  encoders.reserve(deltas.size());
+  for (int32_t begin = 0; begin < num_nodes;
+       begin += kCalibrationChunkNodes) {
+    const int32_t len = std::min(kCalibrationChunkNodes, num_nodes - begin);
+    encoders.clear();
+    for (size_t p = 0; p < deltas.size(); ++p) {
+      encoders.emplace_back(len);
+    }
+    for (int32_t f = 0; f < trace.num_frames(); ++f) {
+      kernels::UnpackFrame(len, trace.FrameData(f) + 4 * begin, x.data(),
+                           y.data(), vx.data(), vy.data());
+      const double t = trace.TimeOf(f);
+      for (size_t p = 0; p < deltas.size(); ++p) {
+        encoders[p].ObserveSpanUniform(0, len, x.data(), y.data(), vx.data(),
+                                       vy.data(), t, deltas[p],
+                                       decision.data(), nullptr);
+      }
+    }
+    // Frame 0 reported every node of the chunk once.
+    for (size_t p = 0; p < deltas.size(); ++p) {
+      counts[p] += encoders[p].updates_emitted() - len;
+    }
+  }
+  return counts;
+}
+
+// Probe thresholds, geometrically spaced; probe 0 is exactly delta_min
+// (pow(ratio, 0.0) == 1).
+std::vector<double> ProbeDeltas(const CalibrationConfig& config) {
+  std::vector<double> deltas(config.num_probes);
+  const double ratio = config.delta_max / config.delta_min;
+  for (int32_t p = 0; p < config.num_probes; ++p) {
+    deltas[p] =
+        config.delta_min *
+        std::pow(ratio, static_cast<double>(p) / (config.num_probes - 1));
+  }
+  return deltas;
+}
+
+double RatePerSecond(const Trace& trace, int64_t count) {
+  const double seconds = (trace.num_frames() - 1) * trace.dt();
+  return static_cast<double>(count) / seconds;
+}
+
+struct ProbeSweep {
+  /// (delta, count / base_count) per probe threshold.
+  std::vector<std::pair<double, double>> probes;
+  /// Updates counted at delta_min, the first probe.
+  int64_t base_count = 0;
+};
+
+// Validates `config` and `trace`, then sweeps every probe threshold at once.
+StatusOr<ProbeSweep> SweepProbes(const Trace& trace,
+                                 const CalibrationConfig& config) {
+  if (Status s = ValidateCalibration(config); !s.ok()) {
+    return s;
+  }
   if (trace.num_frames() < 2) {
     return FailedPreconditionError("trace too short to calibrate");
   }
-  std::vector<std::pair<double, double>> probes;
-  probes.reserve(config.num_probes);
-  const double ratio = config.delta_max / config.delta_min;
-  double base_count = 0.0;
-  for (int32_t p = 0; p < config.num_probes; ++p) {
-    const double delta =
-        config.delta_min *
-        std::pow(ratio, static_cast<double>(p) / (config.num_probes - 1));
-    DeadReckoningEncoder encoder(trace.num_nodes());
-    // Frame 0 initializes every node's reference model; not counted.
-    for (NodeId id = 0; id < trace.num_nodes(); ++id) {
-      encoder.Observe(trace.Sample(0, id), delta);
-    }
-    const int64_t initial = encoder.updates_emitted();
-    for (int32_t f = 1; f < trace.num_frames(); ++f) {
-      for (NodeId id = 0; id < trace.num_nodes(); ++id) {
-        encoder.Observe(trace.Sample(f, id), delta);
-      }
-    }
-    const auto count =
-        static_cast<double>(encoder.updates_emitted() - initial);
-    if (p == 0) {
-      base_count = count;
-      if (base_count <= 0.0) {
-        return FailedPreconditionError(
-            "no updates emitted at delta_min; trace is degenerate");
-      }
-    }
-    probes.emplace_back(delta, count / base_count);
+  const std::vector<double> deltas = ProbeDeltas(config);
+  const std::vector<int64_t> counts = SweepUpdateCounts(trace, deltas);
+  if (counts[0] <= 0) {
+    return FailedPreconditionError(
+        "no updates emitted at delta_min; trace is degenerate");
   }
-  return probes;
+  ProbeSweep sweep;
+  sweep.base_count = counts[0];
+  sweep.probes.reserve(deltas.size());
+  for (size_t p = 0; p < deltas.size(); ++p) {
+    sweep.probes.emplace_back(deltas[p],
+                              static_cast<double>(counts[p]) /
+                                  static_cast<double>(counts[0]));
+  }
+  return sweep;
+}
+
+}  // namespace
+
+StatusOr<std::vector<std::pair<double, double>>> MeasureReductionProbes(
+    const Trace& trace, const CalibrationConfig& config) {
+  auto sweep = SweepProbes(trace, config);
+  if (!sweep.ok()) {
+    return sweep.status();
+  }
+  return std::move(sweep->probes);
 }
 
 StatusOr<double> MeasureUpdateRate(const Trace& trace, double delta) {
-  if (delta <= 0.0) {
-    return InvalidArgumentError("delta must be positive");
+  if (!(std::isfinite(delta) && delta > 0.0)) {
+    return InvalidArgumentError("delta must be finite and positive");
   }
   if (trace.num_frames() < 2) {
     return FailedPreconditionError("trace too short");
   }
-  DeadReckoningEncoder encoder(trace.num_nodes());
-  for (NodeId id = 0; id < trace.num_nodes(); ++id) {
-    encoder.Observe(trace.Sample(0, id), delta);
-  }
-  const int64_t initial = encoder.updates_emitted();
-  for (int32_t f = 1; f < trace.num_frames(); ++f) {
-    for (NodeId id = 0; id < trace.num_nodes(); ++id) {
-      encoder.Observe(trace.Sample(f, id), delta);
-    }
-  }
-  const double seconds = (trace.num_frames() - 1) * trace.dt();
-  return static_cast<double>(encoder.updates_emitted() - initial) / seconds;
+  return RatePerSecond(trace, SweepUpdateCounts(trace, {delta})[0]);
 }
 
-StatusOr<PiecewiseLinearReduction> CalibrateReduction(
-    const Trace& trace, const CalibrationConfig& config) {
-  auto probes = MeasureReductionProbes(trace, config);
-  if (!probes.ok()) {
-    return probes.status();
-  }
-  if (config.kappa < 1) {
-    return InvalidArgumentError("kappa must be >= 1");
+StatusOr<TraceCalibration> CalibrateTrace(const Trace& trace,
+                                          const CalibrationConfig& config) {
+  auto sweep = SweepProbes(trace, config);
+  if (!sweep.ok()) {
+    return sweep.status();
   }
   // Linear interpolation of the probe curve onto the PWL knot grid.
-  const auto& pts = *probes;
+  const auto& pts = sweep->probes;
   auto interp = [&pts](double d) {
     if (d <= pts.front().first) {
       return pts.front().second;
@@ -234,8 +302,22 @@ StatusOr<PiecewiseLinearReduction> CalibrateReduction(
     }
     return pts.back().second;
   };
-  return PiecewiseLinearReduction::SampleFunction(
+  auto reduction = PiecewiseLinearReduction::SampleFunction(
       config.delta_min, config.delta_max, config.kappa, interp);
+  if (!reduction.ok()) {
+    return reduction.status();
+  }
+  return TraceCalibration{*std::move(reduction),
+                          RatePerSecond(trace, sweep->base_count)};
+}
+
+StatusOr<PiecewiseLinearReduction> CalibrateReduction(
+    const Trace& trace, const CalibrationConfig& config) {
+  auto calibration = CalibrateTrace(trace, config);
+  if (!calibration.ok()) {
+    return calibration.status();
+  }
+  return std::move(calibration->reduction);
 }
 
 }  // namespace lira

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "lira/common/status.h"
@@ -114,7 +115,9 @@ class AnalyticReduction final : public UpdateReductionFunction {
   double gamma_;
 };
 
-/// Calibration parameters for measuring f on a trace.
+/// Calibration parameters for measuring f on a trace. Valid when both
+/// thresholds are finite with 0 < delta_min < delta_max, num_probes >= 2
+/// and kappa >= 1; every entry point checks this before reading the trace.
 struct CalibrationConfig {
   double delta_min = 5.0;
   double delta_max = 100.0;
@@ -125,21 +128,41 @@ struct CalibrationConfig {
   int32_t kappa = 95;
 };
 
+/// Nodes per chunk of the calibration sweep. The sweep walks the trace one
+/// chunk of node ids at a time, with one dead-reckoning state per probe
+/// threshold for each node of the chunk; the counts do not depend on it.
+inline constexpr int32_t kCalibrationChunkNodes = 1024;
+
+/// The calibrated f and the full load it is relative to.
+struct TraceCalibration {
+  PiecewiseLinearReduction reduction;
+  /// Update rate (updates/second, whole population) at delta_min --
+  /// exactly MeasureUpdateRate(trace, delta_min).
+  double full_update_rate = 0.0;
+};
+
 /// Measures f on `trace` by running a dead-reckoning encoder at each probe
 /// threshold and counting emitted updates (the first frame initializes the
 /// encoders and is not counted), then interpolates the probe measurements
 /// onto the PWL knot grid. This reproduces how the paper obtained Figure 1.
+/// All probes share one sweep over the trace, and the first probe is
+/// delta_min itself, so the same sweep yields the full update rate.
+StatusOr<TraceCalibration> CalibrateTrace(const Trace& trace,
+                                          const CalibrationConfig& config);
+
+/// CalibrateTrace's f alone.
 StatusOr<PiecewiseLinearReduction> CalibrateReduction(
     const Trace& trace, const CalibrationConfig& config);
 
 /// Raw probe measurements (delta, relative update count), exposed for the
-/// Figure 1 bench.
+/// Figure 1 bench. Needs a valid config, although kappa is unused.
 StatusOr<std::vector<std::pair<double, double>>> MeasureReductionProbes(
     const Trace& trace, const CalibrationConfig& config);
 
 /// Absolute update rate (updates/second, whole population) when every node
-/// dead-reckons with threshold `delta` on `trace`. Used to size the server's
-/// service capacity relative to the full load at delta_min.
+/// dead-reckons with threshold `delta` (finite and positive) on `trace`.
+/// Used to size the server's service capacity relative to the full load at
+/// delta_min.
 StatusOr<double> MeasureUpdateRate(const Trace& trace, double delta);
 
 }  // namespace lira

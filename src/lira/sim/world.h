@@ -52,14 +52,14 @@ struct World {
   const Rect& world_rect() const { return map.world; }
 };
 
-/// Builds the world: generates the map, records the trace, calibrates f,
-/// measures the full update rate, and places the query workload (biased by
-/// the node density of the first trace frame).
+/// Builds the world: generates the map, records the trace, calibrates f and
+/// the full update rate in one sweep over it (CalibrateTrace), and places
+/// the query workload (biased by the node density of the first trace frame).
 StatusOr<World> BuildWorld(const WorldConfig& config);
 
 /// Builds a world around an externally supplied trace (e.g. loaded with
-/// LoadTraceCsv from a real-map trace generator): calibrates f on it,
-/// measures the full update rate, and places the query workload. The
+/// LoadTraceCsv from a real-map trace generator): calibrates f and the full
+/// update rate on it, and places the query workload. The
 /// config's map/mobility/trace fields are ignored; `world_rect` must
 /// enclose the trace. The returned world has an empty road network.
 StatusOr<World> BuildWorldFromTrace(Trace trace, const Rect& world_rect,

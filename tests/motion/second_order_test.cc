@@ -1,6 +1,7 @@
 #include "lira/motion/second_order.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -136,6 +137,9 @@ TEST(SecondOrderTest, MeasuredRateOnRealTrace) {
   EXPECT_GT(*second_order, 0.2 * *linear);
   // Validation.
   EXPECT_FALSE(MeasureSecondOrderUpdateRate(*trace, 0.0).ok());
+  EXPECT_FALSE(MeasureSecondOrderUpdateRate(
+                   *trace, std::numeric_limits<double>::quiet_NaN())
+                   .ok());
 }
 
 }  // namespace

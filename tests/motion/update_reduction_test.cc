@@ -1,13 +1,21 @@
 #include "lira/motion/update_reduction.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "lira/mobility/traffic_model.h"
+#include "lira/mobility/trip_model.h"
 #include "lira/roadnet/map_generator.h"
+#include "oracle/scalar_reduction_probes.h"
 
 namespace lira {
 namespace {
@@ -196,6 +204,166 @@ TEST_F(CalibrationTest, RejectsBadConfigs) {
   EXPECT_FALSE(MeasureReductionProbes(*trace_, config).ok());
   EXPECT_FALSE(MeasureUpdateRate(*trace_, 0.0).ok());
 }
+
+TEST_F(CalibrationTest, RejectsNonFiniteUpdateRateDelta) {
+  for (double delta : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(), -1.0}) {
+    auto rate = MeasureUpdateRate(*trace_, delta);
+    ASSERT_FALSE(rate.ok()) << "delta=" << delta;
+    EXPECT_EQ(rate.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST_F(CalibrationTest, RejectsNonFiniteThresholds) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (auto [lo, hi] : {std::pair{5.0, inf}, std::pair{nan, 100.0},
+                        std::pair{5.0, nan}, std::pair{-inf, 100.0}}) {
+    CalibrationConfig config;
+    config.delta_min = lo;
+    config.delta_max = hi;
+    auto probes = MeasureReductionProbes(*trace_, config);
+    ASSERT_FALSE(probes.ok());
+    EXPECT_EQ(probes.status().code(), StatusCode::kInvalidArgument);
+    auto calibration = CalibrateTrace(*trace_, config);
+    ASSERT_FALSE(calibration.ok());
+    EXPECT_EQ(calibration.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(CalibrateReduction(*trace_, config).ok());
+  }
+}
+
+TEST(CalibrationValidationTest, ConfigIsCheckedBeforeTheTrace) {
+  // Two parked nodes: the sweep would find no update at delta_min and
+  // fail as degenerate, so only an up-front check reports the bad config.
+  auto parked = Trace::FromFlatStates(3, 2, 1.0, std::vector<float>(24, 0.0f));
+  ASSERT_TRUE(parked.ok());
+  EXPECT_EQ(CalibrateTrace(*parked, CalibrationConfig{}).status().code(),
+            StatusCode::kFailedPrecondition);
+  CalibrationConfig config;
+  config.kappa = 0;
+  EXPECT_EQ(CalibrateTrace(*parked, config).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(CalibrateReduction(*parked, config).status().code(),
+            StatusCode::kInvalidArgument);
+  config = CalibrationConfig{};
+  config.num_probes = 1;
+  EXPECT_EQ(CalibrateTrace(*parked, config).status().code(),
+            StatusCode::kInvalidArgument);
+  // A one-frame trace is too short, but the bad threshold is reported.
+  auto single = Trace::FromFlatStates(1, 2, 1.0, std::vector<float>(8, 0.0f));
+  ASSERT_TRUE(single.ok());
+  EXPECT_EQ(MeasureUpdateRate(*single, 5.0).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(
+      MeasureUpdateRate(*single, std::numeric_limits<double>::quiet_NaN())
+          .status()
+          .code(),
+      StatusCode::kInvalidArgument);
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// The one-sweep calibration against the scalar per-threshold oracle, on
+// random-walk and trip traces whose node counts straddle the sweep's chunk.
+class CalibrationOracleTest
+    : public ::testing::TestWithParam<std::tuple<bool, int32_t>> {
+ protected:
+  static constexpr int32_t kFrames = 200;
+
+  static void SetUpTestSuite() {
+    MapGeneratorConfig map_config;
+    map_config.world_side = 6000.0;
+    map_config.arterial_cells = 4;
+    map_config.num_towns = 2;
+    auto map = GenerateMap(map_config);
+    ASSERT_TRUE(map.ok());
+    map_ = new GeneratedMap(*std::move(map));
+  }
+
+  static void TearDownTestSuite() {
+    delete map_;
+    map_ = nullptr;
+  }
+
+  void SetUp() override {
+    const auto [trips, nodes] = GetParam();
+    StatusOr<Trace> trace = InternalError("unset");
+    if (trips) {
+      TripModelConfig traffic;
+      traffic.num_vehicles = nodes;
+      auto model = TripTrafficModel::Create(map_->network, traffic);
+      ASSERT_TRUE(model.ok());
+      trace = Trace::Record(*model, kFrames, 1.0);
+    } else {
+      TrafficModelConfig traffic;
+      traffic.num_vehicles = nodes;
+      auto model = TrafficModel::Create(map_->network, traffic);
+      ASSERT_TRUE(model.ok());
+      trace = Trace::Record(*model, kFrames, 1.0);
+    }
+    ASSERT_TRUE(trace.ok());
+    trace_.emplace(*std::move(trace));
+  }
+
+  static GeneratedMap* map_;
+  std::optional<Trace> trace_;
+};
+
+GeneratedMap* CalibrationOracleTest::map_ = nullptr;
+
+TEST_P(CalibrationOracleTest, ProbesKnotsAndRatesMatchScalarPasses) {
+  std::vector<double> rates;
+  for (double delta : {5.0, 17.3, 100.0}) {
+    auto rate = MeasureUpdateRate(*trace_, delta);
+    ASSERT_TRUE(rate.ok());
+    rates.push_back(oracle::ScalarUpdateRate(*trace_, delta));
+    EXPECT_EQ(Bits(*rate), Bits(rates.back())) << "delta=" << delta;
+  }
+  ASSERT_GT(rates.front(), 0.0);
+  for (int32_t num_probes : {2, 12, 16}) {
+    SCOPED_TRACE("num_probes=" + std::to_string(num_probes));
+    CalibrationConfig config;
+    config.num_probes = num_probes;
+
+    auto probes = MeasureReductionProbes(*trace_, config);
+    ASSERT_TRUE(probes.ok());
+    const auto expected = oracle::ScalarReductionProbes(*trace_, config);
+    ASSERT_EQ(probes->size(), expected.size());
+    for (size_t p = 0; p < expected.size(); ++p) {
+      EXPECT_EQ(Bits((*probes)[p].first), Bits(expected[p].first)) << p;
+      EXPECT_EQ(Bits((*probes)[p].second), Bits(expected[p].second)) << p;
+    }
+
+    auto calibration = CalibrateTrace(*trace_, config);
+    ASSERT_TRUE(calibration.ok());
+    auto reduction = CalibrateReduction(*trace_, config);
+    ASSERT_TRUE(reduction.ok());
+    auto oracle_reduction = oracle::ReductionFromProbes(config, expected);
+    ASSERT_TRUE(oracle_reduction.ok());
+    ASSERT_EQ(calibration->reduction.kappa(), oracle_reduction->kappa());
+    for (int32_t k = 0; k <= oracle_reduction->kappa(); ++k) {
+      const double d = config.delta_min + k * oracle_reduction->segment_width();
+      EXPECT_EQ(Bits(calibration->reduction.Eval(d)),
+                Bits(oracle_reduction->Eval(d)))
+          << "knot " << k;
+      EXPECT_EQ(Bits(reduction->Eval(d)), Bits(oracle_reduction->Eval(d)))
+          << "knot " << k;
+    }
+    // rates[0] is the scalar rate at delta_min, the full load.
+    EXPECT_EQ(Bits(calibration->full_update_rate), Bits(rates[0]));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ChunkEdges, CalibrationOracleTest,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Values(1, kCalibrationChunkNodes - 1,
+                                         kCalibrationChunkNodes + 1,
+                                         2 * kCalibrationChunkNodes + 452)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) ? "Trips" : "RandomWalk") +
+             std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace lira
