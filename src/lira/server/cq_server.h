@@ -8,12 +8,15 @@
 //   OptimizerStage THROTLOOP (z) -> policy (GRIDREDUCE + GREEDYINCREMENT
 //                  for LIRA) -> new SheddingPlan
 //
-// The facade owns the clock and the adaptation schedule and wires the
-// stages together exactly as the original monolithic server did; its
-// public API, metric names, and bitwise behavior are unchanged. The stages
-// are separately constructible and tested (tests/server/*_stage_test), and
-// ServerCluster composes S ingest/tracker/stats triples under one
-// coordinator-owned optimizer (server_cluster.h).
+// The clock, the adaptation schedule and the adaptation sequence live in
+// ServerPipeline (server_pipeline.h), shared with ServerCluster; this
+// facade supplies its one ingest -> tracker pair per tick and rebuilds the
+// node statistics on its own stage, which is also the global one. The
+// stages are separately constructible and tested
+// (tests/server/*_stage_test), and ServerCluster composes S
+// ingest/tracker/stats triples under one coordinator-owned optimizer
+// (server_cluster.h). CqServerConfig and its helpers are declared in
+// server_pipeline.h.
 
 #ifndef LIRA_SERVER_CQ_SERVER_H_
 #define LIRA_SERVER_CQ_SERVER_H_
@@ -23,11 +26,8 @@
 #include <vector>
 
 #include "lira/common/geometry.h"
-#include "lira/common/parallel.h"
 #include "lira/common/status.h"
 #include "lira/core/policy.h"
-#include "lira/core/shedding_plan.h"
-#include "lira/core/statistics_grid.h"
 #include "lira/cq/query_registry.h"
 #include "lira/motion/dead_reckoning.h"
 #include "lira/motion/update_reduction.h"
@@ -38,100 +38,11 @@
 #include "lira/server/stats_stage.h"
 #include "lira/server/tracker_stage.h"
 #include "lira/server/update_queue.h"
-#include "lira/telemetry/flight_recorder.h"
-#include "lira/telemetry/telemetry.h"
-#include "lira/telemetry/trace.h"
 
 namespace lira {
 
-struct CqServerConfig {
-  int32_t num_nodes = 0;
-  Rect world;
-  /// Statistics-grid resolution (power of two).
-  int32_t alpha = 128;
-  /// Input queue capacity B.
-  size_t queue_capacity = 500;
-  /// Service rate mu, updates/second.
-  double service_rate = 1000.0;
-  /// Seconds between adaptation steps (plan rebuilds).
-  double adaptation_period = 30.0;
-  /// When true, z comes from THROTLOOP; otherwise fixed_z is used.
-  bool auto_throttle = false;
-  double fixed_z = 0.5;
-  /// Margin (meters) added around query rectangles when counting them into
-  /// the statistics grid; negative means "use the reduction function's
-  /// delta_max" (see StatisticsGrid::AddQueries).
-  double query_margin = -1.0;
-  /// When true the server maintains a TPR-tree over the tracked motion
-  /// models and can answer range queries incrementally (AnswerQuery);
-  /// turning it off saves the index-maintenance cost for deployments that
-  /// evaluate queries elsewhere.
-  bool maintain_index = true;
-  /// When true the server retains every applied motion model in a
-  /// HistoryStore, enabling historical snapshot queries (the capability the
-  /// paper's fairness threshold protects, Section 3.1.1).
-  bool record_history = false;
-  /// Fraction of tracked nodes fed into the statistics grid at each
-  /// adaptation (paper Section 3.2.1: "the statistics can easily be
-  /// approximated using sampling"); counts are scaled by the inverse so the
-  /// optimizer sees unbiased totals. 1.0 = exact maintenance.
-  double stats_sample_fraction = 1.0;
-  /// When true (and stats_sample_fraction == 1.0) the statistics grid is
-  /// delta-maintained across adaptations: each node's previous contribution
-  /// is relocated only when its cell or quantized speed changed, instead of
-  /// ClearNodes() + full repopulation. Bitwise identical to the rebuild
-  /// (integer grid accumulators; neither path consumes stats RNG at
-  /// fraction 1.0). Sampled statistics fall back to the rebuild.
-  bool incremental_stats = true;
-  /// Optional telemetry (not owned; must outlive the server). When set, the
-  /// server maintains `lira.queue.*` instruments on every Receive and
-  /// records the adaptation loop -- z trajectory, per-stage plan-build
-  /// spans, plan shape gauges, typed events (DESIGN.md "Telemetry").
-  /// nullptr disables all instrumentation at the cost of a pointer test.
-  telemetry::TelemetrySink* telemetry = nullptr;
-  /// Optional span tracer (not owned; must outlive the server). When set,
-  /// every tick and adaptation records per-stage wall-time spans stamped
-  /// with (tick, shard) -- the single server writes the driver lane; a
-  /// ServerCluster additionally writes shard k's spans into lane k+1
-  /// (DESIGN.md §10). nullptr costs one pointer test per stage.
-  telemetry::TraceRecorder* trace = nullptr;
-  /// Optional flight recorder (not owned; must outlive the server). When
-  /// set, every tick appends one FlightSample per pipeline (queue depth and
-  /// drops, z, lambda, utilization, node count, plan shape) to the ring, so
-  /// a crash or chaos event leaves a postmortem of the last N ticks.
-  telemetry::FlightRecorder* flight_recorder = nullptr;
-  uint64_t seed = 1234;
-  /// Optional worker pool (not owned; must outlive the server) for the
-  /// adaptation path: the columnar statistics rebuild, the quad-tree build,
-  /// and the GRIDREDUCE drill-down waves. Plans and statistics are bitwise
-  /// identical for every thread count (and without a pool); see the
-  /// determinism notes on StatsStage and GridReduceConfig.
-  ThreadPool* pool = nullptr;
-};
-
-/// The config checks CqServer::Create and ServerCluster::Create share:
-/// non-null collaborators, positive node count / service rate / period, a
-/// fixed z in [0, 1] when THROTLOOP is off, and a sampling fraction in
-/// (0, 1].
-Status ValidateServerConfig(const CqServerConfig& config,
-                            const LoadSheddingPolicy* policy,
-                            const UpdateReductionFunction* reduction,
-                            const QueryRegistry* queries);
-
-/// Query margin in force: the explicit config value, or the reduction's
-/// delta_max when it is negative.
-double QueryMargin(const CqServerConfig& config,
-                   const UpdateReductionFunction& reduction);
-
-/// The statistics stage and optimizer configs a server (or a cluster's
-/// shards and coordinator) derive from its CqServerConfig. `seed` is the
-/// pipeline's random stream (shard k mixes its index in first); the stats
-/// stage seeds its sampling RNG with `seed ^ 0x57a75`.
-StatsStageConfig ServerStatsConfig(const CqServerConfig& config,
-                                   uint64_t seed);
-OptimizerStageConfig ServerOptimizerConfig(const CqServerConfig& config);
-
-/// Single-threaded discrete-time CQ server.
+/// Single-threaded discrete-time CQ server: one ingest -> tracker pair
+/// whose statistics stage is also the global one the optimizer plans over.
 class CqServer : public ServerPipeline {
  public:
   /// `policy`, `reduction` and `queries` must outlive the server. The
@@ -142,24 +53,12 @@ class CqServer : public ServerPipeline {
                                    const UpdateReductionFunction* reduction,
                                    const QueryRegistry* queries);
 
-  /// Points the server at a (possibly different) query registry -- the CQ
-  /// workload changed. Takes effect at the next adaptation step (or an
-  /// explicit Adapt()). The registry must outlive the server.
-  Status InstallQueries(const QueryRegistry* queries) override;
-
   /// Enqueues a batch of arriving position updates (drops when full),
   /// consuming `*updates` in place (shuffled, elements moved from) so the
   /// caller can clear and reuse the buffer's capacity across ticks -- the
   /// simulator's frame loop calls this every frame. Receive (inherited)
   /// takes an owned batch.
   void ReceiveBatch(std::vector<ModelUpdate>* updates) override;
-
-  /// Advances the server clock by dt seconds: services the queue and runs
-  /// the adaptation step when the period elapses.
-  Status Tick(double dt) override;
-
-  /// Forces an adaptation step immediately (also used internally).
-  Status Adapt() override;
 
   /// Answers an installed continual query from the TPR-tree at the server's
   /// current time. Requires maintain_index.
@@ -170,29 +69,12 @@ class CqServer : public ServerPipeline {
   StatusOr<std::vector<NodeId>> AnswerRange(const Rect& range,
                                             double t) const;
 
-  /// Answers a historical snapshot range query at a past time t. Requires
-  /// record_history.
-  StatusOr<std::vector<NodeId>> AnswerHistoricalRange(const Rect& range,
-                                                      double t) const;
-
   /// The history store, or nullptr when record_history is off.
   const HistoryStore* history() const { return tracker_stage_.history(); }
 
-  double time() const override { return time_; }
-  /// Ticks processed so far (the frame stamp on trace spans).
-  int64_t ticks() const { return tick_; }
-  double z() const override { return optimizer_.z(); }
-  const SheddingPlan& plan() const override { return optimizer_.plan(); }
   const PositionTracker& tracker() const { return tracker_stage_.tracker(); }
   const UpdateQueue& queue() const { return ingest_.queue(); }
-  const StatisticsGrid& stats() const { return stats_stage_.grid(); }
 
-  /// Cumulative time spent building plans (seconds) and number of builds,
-  /// for the server-side-cost experiments.
-  double total_plan_build_seconds() const override {
-    return optimizer_.total_plan_build_seconds();
-  }
-  int64_t plan_builds() const override { return optimizer_.plan_builds(); }
   int64_t updates_applied() const override {
     return tracker_stage_.updates_applied();
   }
@@ -214,7 +96,6 @@ class CqServer : public ServerPipeline {
   int64_t queue_dropped() const override {
     return ingest_.queue().total_dropped();
   }
-  bool records_history() const override { return history() != nullptr; }
   std::vector<NodeId> HistoricalRangeAt(const Rect& range,
                                         double t) const override;
   std::optional<Point> HistoricalPositionAt(NodeId id,
@@ -228,20 +109,14 @@ class CqServer : public ServerPipeline {
            TrackerStage tracker_stage, StatsStage stats_stage,
            OptimizerStage optimizer);
 
-  /// Appends one end-of-tick FlightSample (flight recorder configured).
-  void RecordFlightSample();
+  /// Services the queue and applies the served updates (driver lane).
+  void ServeTick(double dt) override;
+  QueueWindow TakeQueueWindow() override;
+  /// StatsStage::RebuildNodes on the server's own (global) stage.
+  Status RebuildNodeStats() override;
 
-  CqServerConfig config_;
-  const LoadSheddingPolicy* policy_;
-  const UpdateReductionFunction* reduction_;
-  const QueryRegistry* queries_;
   IngestStage ingest_;
   TrackerStage tracker_stage_;
-  StatsStage stats_stage_;
-  OptimizerStage optimizer_;
-  double time_ = 0.0;
-  int64_t tick_ = 0;
-  double next_adaptation_;
 };
 
 }  // namespace lira
