@@ -4,6 +4,19 @@
 #include <utility>
 
 namespace lira {
+namespace {
+
+constexpr const char* kLambdaName = "lira.throtloop.lambda";
+constexpr const char* kUtilizationName = "lira.throtloop.utilization";
+constexpr const char* kZName = "lira.throtloop.z";
+constexpr const char* kWindowDroppedName = "lira.queue.window_dropped";
+constexpr const char* kPlanBuildName = "lira.adapt.plan_build_seconds";
+constexpr const char* kPlanRegionsName = "lira.plan.regions";
+constexpr const char* kPlanMinDeltaName = "lira.plan.min_delta";
+constexpr const char* kPlanMaxDeltaName = "lira.plan.max_delta";
+constexpr const char* kPlanRebuiltName = "lira.plan.rebuilt";
+
+}  // namespace
 
 OptimizerStage::OptimizerStage(const OptimizerStageConfig& config,
                                ThrotLoop throt_loop, SheddingPlan plan)
@@ -15,16 +28,7 @@ OptimizerStage::OptimizerStage(const OptimizerStageConfig& config,
       pool_(config.pool),
       throt_loop_(std::move(throt_loop)),
       plan_(std::move(plan)),
-      z_(config.auto_throttle ? 1.0 : config.fixed_z),
-      lambda_name_(config.metric_prefix + ".throtloop.lambda"),
-      utilization_name_(config.metric_prefix + ".throtloop.utilization"),
-      z_name_(config.metric_prefix + ".throtloop.z"),
-      window_dropped_name_(config.metric_prefix + ".queue.window_dropped"),
-      plan_build_name_(config.metric_prefix + ".adapt.plan_build_seconds"),
-      plan_regions_name_(config.metric_prefix + ".plan.regions"),
-      plan_min_delta_name_(config.metric_prefix + ".plan.min_delta"),
-      plan_max_delta_name_(config.metric_prefix + ".plan.max_delta"),
-      plan_rebuilt_name_(config.metric_prefix + ".plan.rebuilt") {}
+      z_(config.auto_throttle ? 1.0 : config.fixed_z) {}
 
 StatusOr<OptimizerStage> OptimizerStage::Create(
     const OptimizerStageConfig& config, const Rect& world,
@@ -60,13 +64,13 @@ double OptimizerStage::UpdateThrottle(int64_t window_arrivals,
   last_lambda_ = lambda;
   last_utilization_ = lambda / service_rate_;
   if (telemetry_ != nullptr) {
-    telemetry_->SampleGauge(lambda_name_, now, lambda);
-    telemetry_->SampleGauge(utilization_name_, now, lambda / service_rate_);
-    telemetry_->SampleGauge(z_name_, now, z_);
-    telemetry_->SampleGauge(window_dropped_name_, now,
+    telemetry_->SampleGauge(kLambdaName, now, lambda);
+    telemetry_->SampleGauge(kUtilizationName, now, lambda / service_rate_);
+    telemetry_->SampleGauge(kZName, now, z_);
+    telemetry_->SampleGauge(kWindowDroppedName, now,
                             static_cast<double>(window_dropped));
     if (z_ != previous_z) {
-      telemetry_->Emit(telemetry::EventKind::kZChanged, z_name_, now, z_,
+      telemetry_->Emit(telemetry::EventKind::kZChanged, kZName, now, z_,
                        lambda);
     }
   }
@@ -76,7 +80,7 @@ double OptimizerStage::UpdateThrottle(int64_t window_arrivals,
 double OptimizerStage::FixedThrottle(double now) {
   z_ = fixed_z_;
   if (telemetry_ != nullptr) {
-    telemetry_->SampleGauge(z_name_, now, z_);
+    telemetry_->SampleGauge(kZName, now, z_);
   }
   return z_;
 }
@@ -103,12 +107,12 @@ Status OptimizerStage::BuildPlan(const LoadSheddingPolicy& policy,
   plan_build_seconds_ += build_seconds;
   ++plan_builds_;
   if (telemetry_ != nullptr) {
-    telemetry_->RecordSpan(plan_build_name_, now, build_seconds);
-    telemetry_->SampleGauge(plan_regions_name_, now,
+    telemetry_->RecordSpan(kPlanBuildName, now, build_seconds);
+    telemetry_->SampleGauge(kPlanRegionsName, now,
                             static_cast<double>(plan_.NumRegions()));
-    telemetry_->SampleGauge(plan_min_delta_name_, now, plan_.MinDelta());
-    telemetry_->SampleGauge(plan_max_delta_name_, now, plan_.MaxDelta());
-    telemetry_->Emit(telemetry::EventKind::kPlanRebuilt, plan_rebuilt_name_,
+    telemetry_->SampleGauge(kPlanMinDeltaName, now, plan_.MinDelta());
+    telemetry_->SampleGauge(kPlanMaxDeltaName, now, plan_.MaxDelta());
+    telemetry_->Emit(telemetry::EventKind::kPlanRebuilt, kPlanRebuiltName,
                      now, static_cast<double>(plan_.NumRegions()),
                      build_seconds);
   }

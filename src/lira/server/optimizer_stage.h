@@ -11,7 +11,6 @@
 #define LIRA_SERVER_OPTIMIZER_STAGE_H_
 
 #include <cstdint>
-#include <string>
 
 #include "lira/common/parallel.h"
 #include "lira/common/status.h"
@@ -33,8 +32,6 @@ struct OptimizerStageConfig {
   /// When true, z comes from UpdateThrottle; otherwise fixed_z is used.
   bool auto_throttle = false;
   double fixed_z = 0.5;
-  /// Instrument namespace: "<metric_prefix>.{throtloop,plan,queue}.*".
-  std::string metric_prefix = "lira";
   /// Optional telemetry (not owned; must outlive the stage).
   telemetry::TelemetrySink* telemetry = nullptr;
   /// Optional worker pool (not owned) handed to the policy via
@@ -101,18 +98,6 @@ class OptimizerStage {
   double last_utilization_ = 0.0;
   double plan_build_seconds_ = 0.0;
   int64_t plan_builds_ = 0;
-  /// Owned storage for instrument names (Emit/SampleGauge take views that
-  /// must stay valid only per call, but composing per call would allocate
-  /// in the adaptation loop).
-  std::string lambda_name_;
-  std::string utilization_name_;
-  std::string z_name_;
-  std::string window_dropped_name_;
-  std::string plan_build_name_;
-  std::string plan_regions_name_;
-  std::string plan_min_delta_name_;
-  std::string plan_max_delta_name_;
-  std::string plan_rebuilt_name_;
 };
 
 }  // namespace lira
