@@ -8,6 +8,7 @@
 #ifndef LIRA_MOBILITY_TRACE_H_
 #define LIRA_MOBILITY_TRACE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -23,33 +24,31 @@ namespace lira {
 class Trace {
  public:
   /// Advances `model` by `num_frames` ticks of `dt` seconds, recording a
-  /// snapshot after each tick. Works with any model exposing Tick /
-  /// NumVehicles / Sample (TrafficModel, TripTrafficModel).
+  /// snapshot after each tick. Works with any model exposing NumVehicles and
+  /// TickInto (TrafficModel, TripTrafficModel): each tick writes every
+  /// vehicle's state straight into its frame row, in one pass.
   template <typename Model>
   static StatusOr<Trace> Record(Model& model, int32_t num_frames, double dt) {
-    if (num_frames <= 0 || dt <= 0.0) {
-      return InvalidArgumentError("num_frames and dt must be positive");
+    if (num_frames <= 0 || !(dt > 0.0) || !std::isfinite(dt)) {
+      return InvalidArgumentError(
+          "num_frames must be positive and dt positive and finite");
     }
-    Trace trace(num_frames, model.NumVehicles(), dt);
-    trace.states_.reserve(static_cast<size_t>(num_frames) *
-                          model.NumVehicles());
+    const int32_t num_nodes = model.NumVehicles();
+    Trace trace(num_frames, num_nodes, dt);
+    trace.states_.reserve(static_cast<size_t>(num_frames) * num_nodes);
     for (int32_t f = 0; f < num_frames; ++f) {
-      model.Tick(dt);
-      for (NodeId id = 0; id < model.NumVehicles(); ++id) {
-        const PositionSample s = model.Sample(id);
-        trace.states_.push_back({static_cast<float>(s.position.x),
-                                 static_cast<float>(s.position.y),
-                                 static_cast<float>(s.velocity.x),
-                                 static_cast<float>(s.velocity.y)});
-      }
+      const size_t row = trace.states_.size();
+      trace.states_.resize(row + num_nodes);
+      model.TickInto(dt, &trace.states_[row].x);
     }
     return trace;
   }
 
   /// Builds a trace from raw interleaved state floats laid out row-major:
   /// for each frame, for each node, {x, y, vx, vy}. `flat` must have
-  /// exactly 4 * num_frames * num_nodes entries. Used by the trace-IO layer
-  /// to import externally produced traces.
+  /// exactly 4 * num_frames * num_nodes entries, all finite, and dt must be
+  /// positive and finite. Used by the trace-IO layer to import externally
+  /// produced traces.
   static StatusOr<Trace> FromFlatStates(int32_t num_frames,
                                         int32_t num_nodes, double dt,
                                         const std::vector<float>& flat);

@@ -1,6 +1,8 @@
 #include "lira/mobility/trace_io.h"
 
+#include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -36,9 +38,14 @@ StatusOr<Trace> LoadTraceCsv(const std::string& path) {
   char line[256];
   double dt = 0.0;
   if (std::fgets(line, sizeof(line), file) == nullptr ||
-      std::sscanf(line, "# dt=%lf", &dt) != 1 || dt <= 0.0) {
+      std::sscanf(line, "# dt=%lf", &dt) != 1) {
     std::fclose(file);
     return InvalidArgumentError("missing or malformed '# dt=' header");
+  }
+  if (!(dt > 0.0) || !std::isfinite(dt)) {
+    std::fclose(file);
+    return InvalidArgumentError(
+        "'# dt=' header: dt must be positive and finite");
   }
   if (std::fgets(line, sizeof(line), file) == nullptr ||
       std::string(line).rfind("frame,node,", 0) != 0) {
@@ -61,6 +68,12 @@ StatusOr<Trace> LoadTraceCsv(const std::string& path) {
                     &node, &x, &y, &vx, &vy) != 6) {
       std::fclose(file);
       return InvalidArgumentError("malformed row at index " +
+                                  std::to_string(expected_row));
+    }
+    if (!std::isfinite(x) || !std::isfinite(y) || !std::isfinite(vx) ||
+        !std::isfinite(vy)) {
+      std::fclose(file);
+      return InvalidArgumentError("non-finite value in row at index " +
                                   std::to_string(expected_row));
     }
     // Rows must arrive row-major (frame-major, node-minor, dense). The

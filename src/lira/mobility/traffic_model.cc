@@ -38,13 +38,22 @@ void TrafficModel::Tick(double dt) {
   time_ += dt;
 }
 
+void TrafficModel::TickInto(double dt, float* row) {
+  for (Vehicle& vehicle : vehicles_) {
+    vehicle.Advance(*network_, dt);
+    vehicle.WriteState(row);
+    row += 4;
+  }
+  time_ += dt;
+}
+
 PositionSample TrafficModel::Sample(NodeId id) const {
   LIRA_DCHECK(id >= 0 && id < NumVehicles());
   PositionSample sample;
   sample.node_id = id;
   sample.time = time_;
-  sample.position = vehicles_[id].Position(*network_);
-  sample.velocity = vehicles_[id].Velocity(*network_);
+  sample.position = vehicles_[id].Position();
+  sample.velocity = vehicles_[id].Velocity();
   return sample;
 }
 

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "lira/common/check.h"
 #include "lira/common/rng.h"
 #include "lira/common/status.h"
 #include "lira/mobility/position.h"
@@ -37,8 +38,17 @@ class TrafficModel {
   /// Advances every vehicle by dt seconds and the model clock accordingly.
   void Tick(double dt);
 
+  /// Tick, writing each vehicle's state after its advance to the Trace
+  /// frame row `row`: floats {x, y, vx, vy} at row[4 * id].
+  void TickInto(double dt, float* row);
+
   int32_t NumVehicles() const { return static_cast<int32_t>(vehicles_.size()); }
   double CurrentTime() const { return time_; }
+  /// Vehicle `id` (its position, velocity and road state).
+  const Vehicle& vehicle(NodeId id) const {
+    LIRA_DCHECK(id >= 0 && id < NumVehicles());
+    return vehicles_[id];
+  }
 
   /// Current kinematic state of vehicle `id`.
   PositionSample Sample(NodeId id) const;

@@ -1,7 +1,7 @@
 #include "lira/mobility/trip_model.h"
 
-#include <deque>
 #include <utility>
+#include <vector>
 
 #include "lira/roadnet/shortest_path.h"
 
@@ -56,10 +56,13 @@ void TripTrafficModel::PlanNewTrip(Vehicle& vehicle) {
     if (dest == from) {
       continue;
     }
-    auto route = ShortestRoute(*network_, from, dest);
+    std::vector<SegmentId>& tree = trees_[from];
+    if (tree.empty()) {
+      tree = ShortestPathTree(*network_, from);
+    }
+    auto route = RouteInTree(*network_, tree, from, dest);
     if (route.ok() && !route->segments.empty()) {
-      vehicle.AssignRoute(std::deque<SegmentId>(route->segments.begin(),
-                                                route->segments.end()));
+      vehicle.AssignRoute(std::move(route->segments));
       ++trips_completed_;
       return;
     }
@@ -79,13 +82,25 @@ void TripTrafficModel::Tick(double dt) {
   time_ += dt;
 }
 
+void TripTrafficModel::TickInto(double dt, float* row) {
+  for (Vehicle& vehicle : vehicles_) {
+    vehicle.Advance(*network_, dt);
+    if (vehicle.RouteLength() == 0) {
+      PlanNewTrip(vehicle);
+    }
+    vehicle.WriteState(row);
+    row += 4;
+  }
+  time_ += dt;
+}
+
 PositionSample TripTrafficModel::Sample(NodeId id) const {
   LIRA_DCHECK(id >= 0 && id < NumVehicles());
   PositionSample sample;
   sample.node_id = id;
   sample.time = time_;
-  sample.position = vehicles_[id].Position(*network_);
-  sample.velocity = vehicles_[id].Velocity(*network_);
+  sample.position = vehicles_[id].Position();
+  sample.velocity = vehicles_[id].Velocity();
   return sample;
 }
 

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "lira/common/check.h"
 #include "lira/common/rng.h"
 #include "lira/common/status.h"
 #include "lira/mobility/position.h"
@@ -26,8 +27,13 @@ struct TripModelConfig {
   VehicleDynamics dynamics;
 };
 
-/// Vehicle population on routed trips. Mirrors TrafficModel's interface so
-/// Trace::Record-style recording works on either (see RecordTripTrace).
+/// Vehicle population on routed trips. Mirrors TrafficModel's interface, so
+/// Trace::Record records either model.
+///
+/// Routes come from one shortest-path tree per source intersection, built
+/// the first time a trip starts there and kept for the model's lifetime
+/// (4 bytes per intersection per source used). A tree yields the same route
+/// as a Dijkstra run for the one destination (see ShortestPathTree).
 class TripTrafficModel {
  public:
   static StatusOr<TripTrafficModel> Create(const RoadNetwork& network,
@@ -37,8 +43,18 @@ class TripTrafficModel {
   /// destination and a fresh shortest-time route.
   void Tick(double dt);
 
+  /// Tick, writing each vehicle's state after its advance (and any new
+  /// trip) to the Trace frame row `row`: floats {x, y, vx, vy} at
+  /// row[4 * id].
+  void TickInto(double dt, float* row);
+
   int32_t NumVehicles() const { return static_cast<int32_t>(vehicles_.size()); }
   double CurrentTime() const { return time_; }
+  /// Vehicle `id` (its position, velocity, road state and route).
+  const Vehicle& vehicle(NodeId id) const {
+    LIRA_DCHECK(id >= 0 && id < NumVehicles());
+    return vehicles_[id];
+  }
   PositionSample Sample(NodeId id) const;
   std::vector<PositionSample> SampleAll() const;
 
@@ -51,6 +67,7 @@ class TripTrafficModel {
       : network_(&network),
         vehicles_(std::move(vehicles)),
         destination_weights_(std::move(destination_weights)),
+        trees_(network.NumIntersections()),
         rng_(std::move(rng)) {}
 
   void PlanNewTrip(Vehicle& vehicle);
@@ -59,6 +76,8 @@ class TripTrafficModel {
   std::vector<Vehicle> vehicles_;
   /// Per-intersection destination weight (sum of incident segment volumes).
   std::vector<double> destination_weights_;
+  /// Shortest-path tree per source intersection; empty until first used.
+  std::vector<std::vector<SegmentId>> trees_;
   Rng rng_ = Rng(0);
   double time_ = 0.0;
   int64_t trips_completed_ = 0;

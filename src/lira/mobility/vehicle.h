@@ -9,7 +9,8 @@
 #ifndef LIRA_MOBILITY_VEHICLE_H_
 #define LIRA_MOBILITY_VEHICLE_H_
 
-#include <deque>
+#include <algorithm>
+#include <vector>
 
 #include "lira/common/geometry.h"
 #include "lira/common/rng.h"
@@ -35,6 +36,12 @@ struct VehicleDynamics {
 };
 
 /// Mutable state of one vehicle. Owned and advanced by TrafficModel.
+///
+/// The geometry of the current segment is copied onto the vehicle when it
+/// enters the segment, so a tick that stays on one segment, and reading the
+/// position and velocity, touch no RoadNetwork and call no hypot. The
+/// cached values come from the same expressions RoadNetwork::PointOnSegment
+/// and RoadNetwork::SegmentDirection evaluate, so they hold the same bits.
 class Vehicle {
  public:
   /// Places the vehicle on `segment`, `offset` meters from the `origin`
@@ -45,15 +52,15 @@ class Vehicle {
   /// Advances the vehicle by dt seconds (crossing intersections as needed).
   void Advance(const RoadNetwork& network, double dt);
 
-  /// Assigns a route: at each upcoming intersection the vehicle follows the
-  /// queued segments instead of random-walking; when the queue drains (or a
-  /// queued segment is not incident to the junction reached) it falls back
-  /// to the volume-weighted random walk. Used by the trip-based traffic
-  /// model.
-  void AssignRoute(std::deque<SegmentId> route);
+  /// Assigns a route, in travel order: at each upcoming intersection the
+  /// vehicle follows the queued segments instead of random-walking; when
+  /// the queue drains (or a queued segment is not incident to the junction
+  /// reached) it falls back to the volume-weighted random walk. Used by the
+  /// trip-based traffic model.
+  void AssignRoute(std::vector<SegmentId> route);
 
   /// Remaining queued route segments.
-  size_t RouteLength() const { return route_.size(); }
+  size_t RouteLength() const { return route_.size() - route_next_; }
 
   /// The intersection the vehicle is currently driving towards.
   IntersectionId HeadingNode(const RoadNetwork& network) const {
@@ -61,28 +68,58 @@ class Vehicle {
   }
 
   /// Current position in the world frame.
-  Point Position(const RoadNetwork& network) const;
+  Point Position() const {
+    // offset_ is measured from origin_, the segment geometry from the
+    // segment's `from` endpoint.
+    const double from_offset = forward_ ? offset_ : length_ - offset_;
+    const double t = std::clamp(from_offset / length_, 0.0, 1.0);
+    return from_point_ + span_ * t;
+  }
 
   /// Current velocity vector (m/s).
-  Vec2 Velocity(const RoadNetwork& network) const;
+  Vec2 Velocity() const { return direction_ * speed_; }
+
+  /// Writes the state as the floats {x, y, vx, vy} to out[0..3]: one entry
+  /// of a Trace frame row.
+  void WriteState(float* out) const {
+    const Point p = Position();
+    const Vec2 v = Velocity();
+    out[0] = static_cast<float>(p.x);
+    out[1] = static_cast<float>(p.y);
+    out[2] = static_cast<float>(v.x);
+    out[3] = static_cast<float>(v.y);
+  }
 
   double speed() const { return speed_; }
+  /// Meters travelled from origin() along segment().
+  double offset() const { return offset_; }
   SegmentId segment() const { return segment_; }
   IntersectionId origin() const { return origin_; }
 
  private:
   void EnterSegment(const RoadNetwork& network, SegmentId segment,
                     IntersectionId origin);
-  void DrawTargetSpeed(const RoadNetwork& network);
+  void DrawTargetSpeed();
   SegmentId ChooseNextSegment(const RoadNetwork& network,
                               IntersectionId at_node);
 
   SegmentId segment_;
-  std::deque<SegmentId> route_;
   IntersectionId origin_;  ///< endpoint the vehicle entered the segment from
-  double offset_ = 0.0;    ///< meters travelled from origin_ along segment_
+  bool forward_ = true;    ///< origin_ is the segment's `from` endpoint
+  /// Queued route; route_[route_next_] is the next segment to take.
+  std::vector<SegmentId> route_;
+  size_t route_next_ = 0;
+  double offset_ = 0.0;  ///< meters travelled from origin_ along segment_
   double speed_ = 0.0;
   double target_speed_ = 0.0;
+  // Constants of segment_, set by EnterSegment.
+  Point from_point_;    ///< the segment's `from` endpoint
+  Vec2 span_;           ///< `to` endpoint minus `from` endpoint
+  Vec2 direction_;      ///< unit direction of travel (from origin_)
+  double length_ = 0.0;
+  double speed_limit_ = 0.0;
+  double min_speed_ = 0.0;  ///< dynamics_.min_fraction * speed_limit_
+  double max_speed_ = 0.0;  ///< dynamics_.max_fraction * speed_limit_
   VehicleDynamics dynamics_;
   Rng rng_;
 };

@@ -29,8 +29,8 @@ int64_t Quantize(double v) { return std::llround(v * 1000.0); }
 }  // namespace
 
 StatusOr<GeneratedMap> GenerateMap(const MapGeneratorConfig& config) {
-  if (config.world_side <= 0.0) {
-    return InvalidArgumentError("world_side must be positive");
+  if (!(config.world_side > 0.0) || !std::isfinite(config.world_side)) {
+    return InvalidArgumentError("world_side must be positive and finite");
   }
   if (config.arterial_cells < 2) {
     return InvalidArgumentError("arterial_cells must be at least 2");
@@ -39,8 +39,10 @@ StatusOr<GeneratedMap> GenerateMap(const MapGeneratorConfig& config) {
       config.expressways_per_direction < 0) {
     return InvalidArgumentError("invalid map generator configuration");
   }
-  if (config.collector_spacing <= 0.0) {
-    return InvalidArgumentError("collector_spacing must be positive");
+  if (!(config.collector_spacing > 0.0) ||
+      !std::isfinite(config.collector_spacing)) {
+    return InvalidArgumentError(
+        "collector_spacing must be positive and finite");
   }
 
   Rng rng(config.seed);

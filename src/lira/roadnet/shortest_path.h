@@ -17,9 +17,28 @@ struct Route {
   std::vector<SegmentId> segments;
 };
 
-/// Computes the minimum-travel-time route from `from` to `to` (cost of a
-/// segment = length / speed_limit). Returns NotFoundError when `to` is
-/// unreachable. A route from a node to itself is empty.
+/// The minimum-travel-time tree rooted at `from` (cost of a segment =
+/// length / speed_limit): entry i is the segment that reaches intersection i
+/// on its shortest route from `from`, kInvalidSegment for `from` itself and
+/// for unreachable intersections. `from` must be a valid id.
+///
+/// Segment costs are strictly positive (AddSegment rejects zero length and
+/// speed limits are positive), so an intersection's entry is final once it
+/// leaves the frontier: walking the tree back from `to` gives, segment for
+/// segment, the route a Dijkstra that stops at `to` would return. One tree
+/// therefore answers every query from the same source.
+std::vector<SegmentId> ShortestPathTree(const RoadNetwork& network,
+                                        IntersectionId from);
+
+/// The route from `from` to `to` read off `tree`, ShortestPathTree's
+/// output for `from`. Returns NotFoundError when `to` is unreachable.
+StatusOr<Route> RouteInTree(const RoadNetwork& network,
+                            const std::vector<SegmentId>& tree,
+                            IntersectionId from, IntersectionId to);
+
+/// Computes the minimum-travel-time route from `from` to `to`. Returns
+/// NotFoundError when `to` is unreachable. A route from a node to itself is
+/// empty.
 StatusOr<Route> ShortestRoute(const RoadNetwork& network, IntersectionId from,
                               IntersectionId to);
 

@@ -44,8 +44,16 @@ StatusOr<World> FinishWorld(GeneratedMap map, Trace trace,
 }  // namespace
 
 StatusOr<World> BuildWorld(const WorldConfig& config) {
-  if (config.query_node_ratio < 0.0) {
-    return InvalidArgumentError("query_node_ratio must be >= 0");
+  if (!(config.query_node_ratio >= 0.0) ||
+      !std::isfinite(config.query_node_ratio)) {
+    return InvalidArgumentError("query_node_ratio must be finite and >= 0");
+  }
+  // Checked here, before the map and the trace are built, so a bad dt
+  // fails at once rather than after recording a trace of NaNs.
+  if (config.trace_frames <= 0 || !(config.dt > 0.0) ||
+      !std::isfinite(config.dt)) {
+    return InvalidArgumentError(
+        "trace_frames must be positive and dt positive and finite");
   }
   auto map = GenerateMap(config.map);
   if (!map.ok()) {
@@ -81,8 +89,9 @@ StatusOr<World> BuildWorld(const WorldConfig& config) {
 
 StatusOr<World> BuildWorldFromTrace(Trace trace, const Rect& world_rect,
                                     const WorldConfig& config) {
-  if (config.query_node_ratio < 0.0) {
-    return InvalidArgumentError("query_node_ratio must be >= 0");
+  if (!(config.query_node_ratio >= 0.0) ||
+      !std::isfinite(config.query_node_ratio)) {
+    return InvalidArgumentError("query_node_ratio must be finite and >= 0");
   }
   if (world_rect.width() <= 0.0 || world_rect.height() <= 0.0) {
     return InvalidArgumentError("world_rect must be non-degenerate");

@@ -1,6 +1,7 @@
 #include "lira/mobility/trace_io.h"
 
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -122,10 +123,71 @@ TEST(TraceIoTest, RejectsMalformedInputs) {
   EXPECT_FALSE(LoadTraceCsv(path).ok());  // bad dt
 }
 
+TEST(TraceIoTest, RejectsNonFiniteDtHeader) {
+  const std::string path = TempPath("nonfinite_dt.csv");
+  for (const char* dt : {"nan", "inf", "-inf", "NAN", "infinity"}) {
+    WriteFile(path, std::string("# dt=") + dt +
+                        "\nframe,node,x,y,vx,vy\n0,0,1,1,0,0\n");
+    auto trace = LoadTraceCsv(path);
+    EXPECT_FALSE(trace.ok()) << dt;
+    EXPECT_EQ(trace.status().code(), StatusCode::kInvalidArgument) << dt;
+  }
+}
+
+TEST(TraceIoTest, RejectsNonFiniteStateNamingTheRow) {
+  // A real 50-node x 200-frame trace with one state corrupted at frame 5:
+  // before the check it loaded, and a world built from it reported zero
+  // error for every policy.
+  const Trace original = SmallTrace(/*frames=*/200, /*nodes=*/50);
+  const std::string clean = TempPath("clean.csv");
+  ASSERT_TRUE(SaveTraceCsv(original, clean).ok());
+  std::FILE* in = std::fopen(clean.c_str(), "r");
+  ASSERT_NE(in, nullptr);
+  std::string text;
+  char buffer[4096];
+  size_t read;
+  while ((read = std::fread(buffer, 1, sizeof(buffer), in)) > 0) {
+    text.append(buffer, read);
+  }
+  std::fclose(in);
+  const int64_t bad_row = 5 * 50 + 7;  // frame 5, node 7
+  const std::string row_prefix = "\n5,7,";
+  const size_t row_start = text.find(row_prefix);
+  ASSERT_NE(row_start, std::string::npos);
+  const size_t row_end = text.find('\n', row_start + 1);
+  for (const char* values : {"nan,1,0,0", "1,inf,0,0", "1,1,-inf,0",
+                             "1,1,0,nan"}) {
+    const std::string path = TempPath("nonfinite_row.csv");
+    WriteFile(path, text.substr(0, row_start) + row_prefix + values +
+                        text.substr(row_end));
+    auto trace = LoadTraceCsv(path);
+    ASSERT_FALSE(trace.ok()) << values;
+    EXPECT_EQ(trace.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(trace.status().message().find(std::to_string(bad_row)),
+              std::string::npos)
+        << trace.status().message();
+  }
+}
+
 TEST(TraceIoTest, FromFlatStatesValidation) {
   EXPECT_FALSE(Trace::FromFlatStates(0, 1, 1.0, {}).ok());
   EXPECT_FALSE(Trace::FromFlatStates(1, 1, 0.0, {1, 2, 3, 4}).ok());
   EXPECT_FALSE(Trace::FromFlatStates(1, 2, 1.0, {1, 2, 3, 4}).ok());
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(Trace::FromFlatStates(1, 1, kNaN, {1, 2, 3, 4}).ok());
+  EXPECT_FALSE(Trace::FromFlatStates(1, 1, kInf, {1, 2, 3, 4}).ok());
+  const float nan_f = std::numeric_limits<float>::quiet_NaN();
+  const float inf_f = std::numeric_limits<float>::infinity();
+  EXPECT_FALSE(Trace::FromFlatStates(1, 1, 1.0, {nan_f, 2, 3, 4}).ok());
+  EXPECT_FALSE(Trace::FromFlatStates(1, 1, 1.0, {1, 2, 3, -inf_f}).ok());
+  auto bad = Trace::FromFlatStates(2, 2, 1.0,
+                                   {1, 2, 3, 4, 1, 2, 3, 4,  //
+                                    1, 2, 3, 4, 1, 2, inf_f, 4});
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bad.status().message().find("frame 1, node 1"), std::string::npos)
+      << bad.status().message();
   auto trace = Trace::FromFlatStates(1, 1, 1.0, {1, 2, 3, 4});
   ASSERT_TRUE(trace.ok());
   EXPECT_EQ(trace->Position(0, 0), (Point{1.0, 2.0}));

@@ -117,7 +117,7 @@ TEST_F(TripModelTest, VehicleFollowsAssignedRoute) {
   for (int t = 0; t < 100 && vehicle.segment() != chain[3]; ++t) {
     vehicle.Advance(net, 1.0);
     // Never diverts to the fork.
-    EXPECT_LT(vehicle.Position(net).y, 1.0);
+    EXPECT_LT(vehicle.Position().y, 1.0);
   }
   EXPECT_EQ(vehicle.segment(), chain[3]);
   EXPECT_EQ(vehicle.RouteLength(), 0u);

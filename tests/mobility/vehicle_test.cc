@@ -26,7 +26,7 @@ TEST(VehicleTest, StartsWherePlaced) {
   RoadNetwork net = MakeSquare();
   Vehicle v(net, /*segment=*/0, /*origin=*/0, /*offset=*/250.0,
             VehicleDynamics{}, Rng(1));
-  const Point p = v.Position(net);
+  const Point p = v.Position();
   EXPECT_NEAR(p.x, 250.0, 1e-9);
   EXPECT_NEAR(p.y, 0.0, 1e-9);
 }
@@ -35,7 +35,7 @@ TEST(VehicleTest, OffsetMeasuredFromChosenOrigin) {
   RoadNetwork net = MakeSquare();
   Vehicle v(net, /*segment=*/0, /*origin=*/1, /*offset=*/250.0,
             VehicleDynamics{}, Rng(1));
-  EXPECT_NEAR(v.Position(net).x, 750.0, 1e-9);
+  EXPECT_NEAR(v.Position().x, 750.0, 1e-9);
 }
 
 TEST(VehicleTest, SpeedStaysWithinDynamicBounds) {
@@ -55,7 +55,7 @@ TEST(VehicleTest, StaysOnTheRoadGraph) {
   Vehicle v(net, 0, 0, 0.0, VehicleDynamics{}, Rng(3));
   for (int i = 0; i < 2000; ++i) {
     v.Advance(net, 1.0);
-    const Point p = v.Position(net);
+    const Point p = v.Position();
     // On the square ring every point has x or y equal to 0 or 1000.
     const bool on_edge =
         std::abs(p.x) < 1e-6 || std::abs(p.x - 1000.0) < 1e-6 ||
@@ -68,9 +68,9 @@ TEST(VehicleTest, MovementMatchesSpeedWithinTick) {
   RoadNetwork net = MakeSquare();
   Vehicle v(net, 0, 0, 100.0, VehicleDynamics{}, Rng(4));
   for (int i = 0; i < 200; ++i) {
-    const Point before = v.Position(net);
+    const Point before = v.Position();
     v.Advance(net, 1.0);
-    const Point after = v.Position(net);
+    const Point after = v.Position();
     // Displacement cannot exceed the post-update speed times dt by much
     // (path is piecewise straight; corners shorten the Euclidean step).
     EXPECT_LE(Distance(before, after), v.speed() * 1.0 + 1e-6 +
@@ -82,7 +82,7 @@ TEST(VehicleTest, VelocityIsTangentToSegment) {
   RoadNetwork net = MakeSquare();
   Vehicle v(net, 0, 0, 10.0, VehicleDynamics{}, Rng(5));
   v.Advance(net, 1.0);
-  const Vec2 vel = v.Velocity(net);
+  const Vec2 vel = v.Velocity();
   EXPECT_NEAR(Norm(vel), v.speed(), 1e-9);
 }
 
@@ -94,7 +94,7 @@ TEST(VehicleTest, TurnsAroundAtDeadEnd) {
   Vehicle v(net, 0, 0, 90.0, VehicleDynamics{}, Rng(6));
   for (int i = 0; i < 300; ++i) {
     v.Advance(net, 1.0);
-    const Point p = v.Position(net);
+    const Point p = v.Position();
     EXPECT_GE(p.x, -1e-9);
     EXPECT_LE(p.x, 100.0 + 1e-9);
   }
@@ -107,7 +107,7 @@ TEST(VehicleTest, DeterministicGivenSameRngStream) {
   for (int i = 0; i < 500; ++i) {
     a.Advance(net, 1.0);
     b.Advance(net, 1.0);
-    EXPECT_EQ(a.Position(net), b.Position(net));
+    EXPECT_EQ(a.Position(), b.Position());
     EXPECT_EQ(a.speed(), b.speed());
   }
 }

@@ -1,5 +1,7 @@
 #include "lira/roadnet/map_generator.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 namespace lira {
@@ -116,6 +118,23 @@ TEST(MapGeneratorTest, RejectsInvalidConfigs) {
   config = MapGeneratorConfig{};
   config.num_towns = -2;
   EXPECT_FALSE(GenerateMap(config).ok());
+}
+
+TEST(MapGeneratorTest, RejectsNonFiniteSizesUpFront) {
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    MapGeneratorConfig config;
+    config.world_side = bad;
+    auto map = GenerateMap(config);
+    EXPECT_FALSE(map.ok()) << bad;
+    EXPECT_EQ(map.status().code(), StatusCode::kInvalidArgument) << bad;
+    config = MapGeneratorConfig{};
+    config.collector_spacing = bad;
+    map = GenerateMap(config);
+    EXPECT_FALSE(map.ok()) << bad;
+    EXPECT_EQ(map.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
 }
 
 TEST(MapGeneratorTest, NoTownsStillConnected) {

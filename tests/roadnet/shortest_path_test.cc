@@ -1,8 +1,11 @@
 #include "lira/roadnet/shortest_path.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "lira/roadnet/map_generator.h"
+#include "oracle/early_exit_route.h"
 
 namespace lira {
 namespace {
@@ -105,6 +108,76 @@ TEST(ShortestPathTest, RouteSegmentsFormAConnectedWalk) {
     at = net.OtherEnd(seg, at);
   }
   EXPECT_EQ(at, net.NumIntersections() - 1);
+}
+
+// Every (from, to) pair of `net`: ShortestRoute and the route read off the
+// source's tree both equal the early-exit Dijkstra's, segment for segment,
+// and agree with it on which destinations are unreachable.
+void ExpectEveryPairMatchesEarlyExitOracle(const RoadNetwork& net) {
+  const IntersectionId n = net.NumIntersections();
+  for (IntersectionId from = 0; from < n; ++from) {
+    const std::vector<SegmentId> tree = ShortestPathTree(net, from);
+    ASSERT_EQ(tree.size(), static_cast<size_t>(n));
+    EXPECT_EQ(tree[from], kInvalidSegment);
+    for (IntersectionId to = 0; to < n; ++to) {
+      const auto want = oracle::EarlyExitShortestRoute(net, from, to);
+      const auto got = RouteInTree(net, tree, from, to);
+      ASSERT_EQ(got.status().code(), want.status().code())
+          << from << " -> " << to;
+      if (want.ok()) {
+        ASSERT_EQ(got->origin, want->origin);
+        ASSERT_EQ(got->segments, want->segments) << from << " -> " << to;
+      }
+      // ShortestRoute builds a whole tree per call, so on a large map it is
+      // checked for one destination per source.
+      if (n <= 64 || to == n - 1 - from) {
+        const auto routed = ShortestRoute(net, from, to);
+        ASSERT_EQ(routed.status().code(), want.status().code());
+        if (want.ok()) {
+          ASSERT_EQ(routed->segments, want->segments) << from << " -> " << to;
+        }
+      }
+    }
+  }
+}
+
+TEST(ShortestPathTest, EveryPairOnTheDefaultMapMatchesEarlyExitDijkstra) {
+  auto map = GenerateMap(MapGeneratorConfig{});
+  ASSERT_TRUE(map.ok());
+  ExpectEveryPairMatchesEarlyExitOracle(map->network);
+}
+
+TEST(ShortestPathTest, TiesAndAnIslandMatchEarlyExitDijkstra) {
+  // A 5 x 5 grid of equal 100 m collectors: most pairs have many routes of
+  // exactly equal cost, so the (dist, id) frontier order decides. Plus a
+  // two-node island no grid node can reach.
+  RoadNetwork net;
+  constexpr int kSide = 5;
+  for (int y = 0; y < kSide; ++y) {
+    for (int x = 0; x < kSide; ++x) {
+      net.AddIntersection({x * 100.0, y * 100.0});
+    }
+  }
+  for (int y = 0; y < kSide; ++y) {
+    for (int x = 0; x < kSide; ++x) {
+      const IntersectionId id = y * kSide + x;
+      if (x + 1 < kSide) {
+        ASSERT_TRUE(net.AddSegment(id, id + 1, RoadClass::kCollector).ok());
+      }
+      if (y + 1 < kSide) {
+        ASSERT_TRUE(
+            net.AddSegment(id, id + kSide, RoadClass::kCollector).ok());
+      }
+    }
+  }
+  const IntersectionId island_a = net.AddIntersection({9000.0, 9000.0});
+  const IntersectionId island_b = net.AddIntersection({9100.0, 9000.0});
+  ASSERT_TRUE(net.AddSegment(island_a, island_b, RoadClass::kCollector).ok());
+  ExpectEveryPairMatchesEarlyExitOracle(net);
+  auto tree = ShortestPathTree(net, 0);
+  EXPECT_EQ(tree[island_a], kInvalidSegment);
+  EXPECT_EQ(RouteInTree(net, tree, 0, island_b).status().code(),
+            StatusCode::kNotFound);
 }
 
 }  // namespace

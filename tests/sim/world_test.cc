@@ -1,5 +1,7 @@
 #include "lira/sim/world.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "lira/mobility/trace_io.h"
@@ -71,6 +73,33 @@ TEST(WorldTest, RejectsNegativeRatio) {
   WorldConfig config = SmallConfig();
   config.query_node_ratio = -0.5;
   EXPECT_FALSE(BuildWorld(config).ok());
+}
+
+TEST(WorldTest, RejectsNonFiniteValuesBeforeAnyWork) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (double bad : {kNaN, kInf, -kInf}) {
+    WorldConfig config = SmallConfig();
+    config.dt = bad;
+    auto world = BuildWorld(config);
+    ASSERT_FALSE(world.ok()) << bad;
+    EXPECT_EQ(world.status().code(), StatusCode::kInvalidArgument) << bad;
+
+    config = SmallConfig();
+    config.map.world_side = bad;
+    world = BuildWorld(config);
+    ASSERT_FALSE(world.ok()) << bad;
+    EXPECT_EQ(world.status().code(), StatusCode::kInvalidArgument) << bad;
+
+    config = SmallConfig();
+    config.query_node_ratio = bad;
+    world = BuildWorld(config);
+    ASSERT_FALSE(world.ok()) << bad;
+    EXPECT_EQ(world.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  WorldConfig config = SmallConfig();
+  config.trace_frames = 0;
+  EXPECT_EQ(BuildWorld(config).status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(WorldTest, CalibratedReductionIsUsable) {
