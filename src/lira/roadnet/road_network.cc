@@ -48,29 +48,6 @@ StatusOr<SegmentId> RoadNetwork::AddSegment(IntersectionId from,
   return id;
 }
 
-Point RoadNetwork::IntersectionPosition(IntersectionId id) const {
-  LIRA_DCHECK(id >= 0 && id < NumIntersections());
-  return positions_[id];
-}
-
-const RoadSegment& RoadNetwork::Segment(SegmentId id) const {
-  LIRA_DCHECK(id >= 0 && id < NumSegments());
-  return segments_[id];
-}
-
-const std::vector<SegmentId>& RoadNetwork::IncidentSegments(
-    IntersectionId id) const {
-  LIRA_DCHECK(id >= 0 && id < NumIntersections());
-  return incident_[id];
-}
-
-IntersectionId RoadNetwork::OtherEnd(SegmentId segment,
-                                     IntersectionId from) const {
-  const RoadSegment& seg = Segment(segment);
-  LIRA_DCHECK(seg.from == from || seg.to == from);
-  return seg.from == from ? seg.to : seg.from;
-}
-
 Point RoadNetwork::PointOnSegment(SegmentId id, double offset) const {
   const RoadSegment& seg = Segment(id);
   const double t = std::clamp(offset / seg.length, 0.0, 1.0);

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "lira/common/check.h"
 #include "lira/common/geometry.h"
 #include "lira/common/status.h"
 #include "lira/roadnet/road_class.h"
@@ -55,14 +56,27 @@ class RoadNetwork {
   }
   int32_t NumSegments() const { return static_cast<int32_t>(segments_.size()); }
 
-  Point IntersectionPosition(IntersectionId id) const;
-  const RoadSegment& Segment(SegmentId id) const;
+  Point IntersectionPosition(IntersectionId id) const {
+    LIRA_DCHECK(id >= 0 && id < NumIntersections());
+    return positions_[id];
+  }
+  const RoadSegment& Segment(SegmentId id) const {
+    LIRA_DCHECK(id >= 0 && id < NumSegments());
+    return segments_[id];
+  }
 
   /// Segments incident to an intersection.
-  const std::vector<SegmentId>& IncidentSegments(IntersectionId id) const;
+  const std::vector<SegmentId>& IncidentSegments(IntersectionId id) const {
+    LIRA_DCHECK(id >= 0 && id < NumIntersections());
+    return incident_[id];
+  }
 
   /// The intersection at the other end of `segment` as seen from `from`.
-  IntersectionId OtherEnd(SegmentId segment, IntersectionId from) const;
+  IntersectionId OtherEnd(SegmentId segment, IntersectionId from) const {
+    const RoadSegment& seg = Segment(segment);
+    LIRA_DCHECK(seg.from == from || seg.to == from);
+    return seg.from == from ? seg.to : seg.from;
+  }
 
   /// Position at `offset` meters from the `from` endpoint along the segment
   /// (offset is clamped to [0, length]).
