@@ -121,6 +121,47 @@ BENCHMARK(BM_QuadHierarchyBuild)
     ->Arg(512)
     ->Arg(1024);
 
+void BM_QuadHierarchyRefresh(benchmark::State& state) {
+  // A kept tree's per-adaptation refresh. Each iteration changes 1/50 of
+  // the cells (adapt_1024 changes ~2% per 5 s period), scattered uniformly
+  // -- the worst case for locality -- outside the timed region, then times
+  // Refresh alone. Odd iterations add a node to the cells the even ones
+  // drew, the next removes it again, so the grid stays bounded.
+  const auto alpha = static_cast<int32_t>(state.range(0));
+  StatisticsGrid grid = RandomGrid(alpha, 67);
+  QuadHierarchy tree;
+  tree.Bind(&grid);
+  tree.Refresh();
+  const int64_t cells = int64_t{alpha} * alpha;
+  std::vector<int32_t> touched(static_cast<size_t>(cells / 50));
+  Rng rng(71);
+  bool add = true;
+  int64_t refreshed = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    if (add) {
+      for (int32_t& cell : touched) {
+        cell = static_cast<int32_t>(rng.UniformInt(cells));
+      }
+    }
+    const int64_t q = StatisticsGrid::QuantizeSpeed(12.5);
+    for (const int32_t cell : touched) {
+      if (add) {
+        grid.AddNodeQAt(cell, q);
+      } else {
+        grid.RemoveNodeQAt(cell, q);
+      }
+    }
+    add = !add;
+    state.ResumeTiming();
+    refreshed = tree.Refresh();
+    benchmark::DoNotOptimize(refreshed);
+  }
+  state.SetLabel("alpha=" + std::to_string(alpha) + " refreshed=" +
+                 std::to_string(refreshed));
+}
+BENCHMARK(BM_QuadHierarchyRefresh)->Arg(1024);
+
 void BM_StatisticsGridMerge(benchmark::State& state) {
   // Serial shard-grid merge at coordinator scale: the per-adaptation cost
   // the parallel AssignNodeSum below replaces.

@@ -7,7 +7,6 @@
 
 #include "lira/core/greedy_increment.h"
 #include "lira/core/grid_reduce.h"
-#include "lira/core/quad_hierarchy.h"
 
 namespace lira {
 namespace {
@@ -84,10 +83,26 @@ StatusOr<SheddingPlan> LiraGridPolicy::BuildPlan(
 
 StatusOr<SheddingPlan> LiraPolicy::BuildPlan(const PolicyContext& ctx) const {
   LIRA_RETURN_IF_ERROR(ValidateContext(ctx));
+  if (ctx.quad != nullptr && ctx.quad->grid() != ctx.stats) {
+    return InvalidArgumentError("quad tree is not bound to the context grid");
+  }
   telemetry::ScopedTimer quad_timer(ctx.telemetry,
                                     "lira.adapt.quad_build_seconds", ctx.now);
-  const QuadHierarchy tree = QuadHierarchy::Build(*ctx.stats, ctx.pool);
+  QuadHierarchy fresh;
+  int64_t refreshed = 0;
+  if (ctx.quad != nullptr) {
+    refreshed = ctx.quad->Refresh(ctx.pool);
+  } else {
+    fresh = QuadHierarchy::Build(*ctx.stats, ctx.pool);
+    refreshed = fresh.InteriorNodes();
+  }
+  const QuadHierarchy& tree = ctx.quad != nullptr ? *ctx.quad : fresh;
   quad_timer.Stop();
+  if (ctx.telemetry != nullptr) {
+    ctx.telemetry->metrics()
+        .GetCounter("lira.adapt.quad_nodes_refreshed")
+        ->Increment(refreshed);
+  }
   GridReduceConfig reduce;
   reduce.l = config_.l;
   reduce.z = ctx.z;

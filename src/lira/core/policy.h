@@ -20,6 +20,7 @@
 
 #include "lira/common/parallel.h"
 #include "lira/common/status.h"
+#include "lira/core/quad_hierarchy.h"
 #include "lira/core/shedding_plan.h"
 #include "lira/core/statistics_grid.h"
 #include "lira/motion/update_reduction.h"
@@ -43,6 +44,11 @@ struct PolicyContext {
   /// build and the GRIDREDUCE drill-down waves. Plans are bitwise identical
   /// with or without it (see QuadHierarchy::Build and GridReduceConfig).
   ThreadPool* pool = nullptr;
+  /// Optional kept quad tree (not owned), bound to the grid `stats` points
+  /// at (QuadHierarchy::Bind). LiraPolicy refreshes it in place, consuming
+  /// the grid's dirty set; without one it builds a fresh tree. Plans are
+  /// bitwise identical either way. The other policies ignore it.
+  QuadHierarchy* quad = nullptr;
 };
 
 /// Interface of a load-shedding policy.

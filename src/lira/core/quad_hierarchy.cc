@@ -1,102 +1,220 @@
 #include "lira/core/quad_hierarchy.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "lira/common/check.h"
 
 namespace lira {
+namespace {
 
-QuadHierarchy::QuadHierarchy(Rect world, int32_t num_levels)
-    : world_(world), num_levels_(num_levels) {
-  level_offset_.resize(num_levels_ + 1);
-  size_t offset = 0;
-  for (int32_t level = 0; level < num_levels_; ++level) {
-    level_offset_[level] = offset;
-    const size_t side = size_t{1} << level;
-    offset += side * side;
-  }
-  level_offset_[num_levels_] = offset;
-  // Leaf level stays virtual (read through grid_); store only the interior.
-  stats_.resize(level_offset_[num_levels_ - 1]);
+void SetBit(uint64_t* words, size_t i) {
+  words[i >> 6] |= uint64_t{1} << (i & 63);
 }
+
+}  // namespace
 
 QuadHierarchy QuadHierarchy::Build(const StatisticsGrid& grid,
                                    ThreadPool* pool) {
-  const int32_t alpha = grid.alpha();
-  const auto levels =
-      static_cast<int32_t>(std::lround(std::log2(alpha))) + 1;
-  QuadHierarchy tree(grid.world(), levels);
-
+  QuadHierarchy tree;
+  tree.Reshape(grid);
   tree.grid_ = &grid;
-
-  // Rows below this cell count run serially: the fork/join overhead of a
-  // ParallelFor pass dwarfs the work of a small level.
-  constexpr int64_t kParallelCells = 4096;
-  const bool pooled = pool != nullptr && pool->num_threads() > 1;
-
-  // Deepest materialized level: aggregate straight from the grid. Each
-  // parent row reads two leaf rows of cell statistics into scratch
-  // (CellStatsRow -- the same bits the old materialized leaf fill stored)
-  // and folds them in the original Children() order, so every stored
-  // aggregate is bitwise identical to the copy-then-aggregate build while
-  // skipping the alpha^2 RegionStats store and its read-back.
-  const int32_t leaf = tree.leaf_level();
-  if (leaf > 0) {
-    const int32_t side = 1 << (leaf - 1);
-    const size_t offset = tree.level_offset_[leaf - 1];
-    const auto agg_leaf_rows = [&](int32_t /*chunk*/, int64_t row_begin,
-                                   int64_t row_end) {
-      std::vector<RegionStats> scratch(2 * static_cast<size_t>(alpha));
-      RegionStats* const row0 = scratch.data();
-      RegionStats* const row1 = scratch.data() + alpha;
-      for (int64_t iy = row_begin; iy < row_end; ++iy) {
-        grid.CellStatsRow(static_cast<int32_t>(2 * iy), row0);
-        grid.CellStatsRow(static_cast<int32_t>(2 * iy + 1), row1);
-        RegionStats* const out =
-            tree.stats_.data() + offset + static_cast<size_t>(iy) * side;
-        for (int32_t ix = 0; ix < side; ++ix) {
-          RegionStats agg;
-          agg = agg + row0[2 * ix];
-          agg = agg + row0[2 * ix + 1];
-          agg = agg + row1[2 * ix];
-          agg = agg + row1[2 * ix + 1];
-          out[ix] = agg;
-        }
-      }
-    };
-    if (pooled && static_cast<int64_t>(side) * side >= kParallelCells) {
-      pool->ParallelFor(0, side, 1, agg_leaf_rows);
-    } else {
-      agg_leaf_rows(0, 0, side);
-    }
-  }
-
-  // Bottom-up aggregation (equivalent to the paper's post-order traversal).
-  // Parents within one level are independent and read only the completed
-  // level below; returning from the level's ParallelFor is the barrier
-  // before the next level starts.
-  for (int32_t level = leaf - 2; level >= 0; --level) {
-    const int32_t side = 1 << level;
-    const auto agg_rows = [&](int32_t /*chunk*/, int64_t row_begin,
-                              int64_t row_end) {
-      for (int64_t iy = row_begin; iy < row_end; ++iy) {
-        for (int32_t ix = 0; ix < side; ++ix) {
-          const QuadNodeRef ref{level, ix, static_cast<int32_t>(iy)};
-          RegionStats agg;
-          for (const QuadNodeRef& child : tree.Children(ref)) {
-            agg = agg + tree.stats_[tree.FlatIndex(child)];
-          }
-          tree.stats_[tree.FlatIndex(ref)] = agg;
-        }
-      }
-    };
-    if (pooled && static_cast<int64_t>(side) * side >= kParallelCells) {
-      pool->ParallelFor(0, side, 1, agg_rows);
-    } else {
-      agg_rows(0, 0, side);
-    }
-  }
+  tree.Aggregate(nullptr, pool);
   return tree;
+}
+
+void QuadHierarchy::Bind(StatisticsGrid* grid) {
+  LIRA_CHECK(grid != nullptr);
+  if (grid != bound_) {
+    grid->MarkAllDirty();
+    bound_ = grid;
+  }
+  grid_ = grid;
+}
+
+int64_t QuadHierarchy::Refresh(ThreadPool* pool) {
+  LIRA_CHECK(bound_ != nullptr);
+  const bool reshaped = Reshape(*bound_);
+  const int64_t nodes = Aggregate(
+      reshaped || bound_->all_dirty() ? nullptr : &bound_->dirty_cells(),
+      pool);
+  bound_->ClearDirty();
+  return nodes;
+}
+
+bool QuadHierarchy::Reshape(const StatisticsGrid& grid) {
+  world_ = grid.world();
+  const auto levels =
+      static_cast<int32_t>(std::lround(std::log2(grid.alpha()))) + 1;
+  if (levels == num_levels_) {
+    return false;
+  }
+  num_levels_ = levels;
+  level_offset_.assign(static_cast<size_t>(levels) + 1, 0);
+  mark_offset_.assign(static_cast<size_t>(levels), 0);
+  size_t offset = 0;
+  size_t words = 0;
+  for (int32_t level = 0; level < levels; ++level) {
+    const size_t nodes = size_t{1} << (2 * level);
+    level_offset_[level] = offset;
+    offset += nodes;
+    if (level < levels - 1) {
+      mark_offset_[level] = words;
+      words += (nodes + 63) / 64;
+    }
+  }
+  level_offset_[levels] = offset;
+  // Leaf level stays virtual (read through grid_); store only the interior.
+  stats_.assign(level_offset_[levels - 1], RegionStats{});
+  marks_.assign(words, 0);
+  return true;
+}
+
+RegionStats QuadHierarchy::SumOfLeaves(int32_t ix, int32_t iy) const {
+  const StatisticsGrid& grid = *grid_;
+  RegionStats agg;
+  agg = agg + grid.CellStats(2 * ix, 2 * iy);
+  agg = agg + grid.CellStats(2 * ix + 1, 2 * iy);
+  agg = agg + grid.CellStats(2 * ix, 2 * iy + 1);
+  agg = agg + grid.CellStats(2 * ix + 1, 2 * iy + 1);
+  return agg;
+}
+
+RegionStats QuadHierarchy::SumOfChildren(int32_t level, int32_t ix,
+                                         int32_t iy) const {
+  const size_t side = size_t{2} << level;
+  const RegionStats* const child =
+      stats_.data() + level_offset_[level + 1] +
+      2 * static_cast<size_t>(iy) * side + 2 * static_cast<size_t>(ix);
+  RegionStats agg;
+  agg = agg + child[0];
+  agg = agg + child[1];
+  agg = agg + child[side];
+  agg = agg + child[side + 1];
+  return agg;
+}
+
+int64_t QuadHierarchy::Aggregate(const std::vector<int32_t>* dirty_cells,
+                                 ThreadPool* pool) {
+  const int32_t leaf = leaf_level();
+  if (leaf == 0) {
+    return 0;  // alpha = 1: the root is the only node, a virtual leaf
+  }
+  uint64_t* const marks = marks_.data();
+  if (dirty_cells == nullptr) {
+    for (int32_t level = 0; level < leaf; ++level) {
+      const size_t nodes = size_t{1} << (2 * level);
+      uint64_t* const words = marks + mark_offset_[level];
+      if (nodes < 64) {
+        words[0] = (uint64_t{1} << nodes) - 1;
+      } else {
+        std::fill(words, words + nodes / 64, ~uint64_t{0});
+      }
+    }
+  } else {
+    // The dirty cells' parents, then each marked level's parents. The
+    // bitmaps deduplicate, and walking them later visits every level in
+    // flat index order, so the recompute sweeps memory forward.
+    const int32_t cell_mask = (1 << leaf) - 1;
+    for (const int32_t cell : *dirty_cells) {
+      const int32_t ix = cell & cell_mask;
+      const int32_t iy = cell >> leaf;
+      SetBit(marks + mark_offset_[leaf - 1],
+             (static_cast<size_t>(iy >> 1) << (leaf - 1)) |
+                 static_cast<size_t>(ix >> 1));
+    }
+    for (int32_t level = leaf - 1; level > 0; --level) {
+      const uint64_t* const words = marks + mark_offset_[level];
+      const size_t count = ((size_t{1} << (2 * level)) + 63) / 64;
+      const int32_t side_mask = (1 << level) - 1;
+      for (size_t w = 0; w < count; ++w) {
+        for (uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+          const size_t i = w * 64 + __builtin_ctzll(bits);
+          const auto ix = static_cast<int32_t>(i) & side_mask;
+          const auto iy = static_cast<int32_t>(i >> level);
+          SetBit(marks + mark_offset_[level - 1],
+                 (static_cast<size_t>(iy >> 1) << (level - 1)) |
+                     static_cast<size_t>(ix >> 1));
+        }
+      }
+    }
+  }
+  int64_t marked = 0;
+  for (const uint64_t word : marks_) {
+    marked += __builtin_popcountll(word);
+  }
+
+  // Levels below this many nodes run serially: the fork/join overhead of a
+  // ParallelFor pass dwarfs the work of a small level.
+  constexpr int64_t kParallelNodes = 4096;
+  const bool pooled = pool != nullptr && pool->num_threads() > 1;
+  // Bottom-up (equivalent to the paper's post-order traversal). Parents
+  // within one level are independent and read only the completed level
+  // below; returning from the level's ParallelFor is the barrier before the
+  // next level starts. Each pass clears the marks it consumed.
+  //
+  // A fully marked word whose 64 nodes lie in one row (side >= 64) is
+  // swept as a run; on the deepest level the run reads its two leaf rows in
+  // bulk (CellStatsSpan, the same bits CellStats returns) and folds them in
+  // the same child order.
+  const int32_t deepest = leaf - 1;
+  const auto recompute_level = [&](int32_t level, const auto& node_value) {
+    const int64_t nodes = int64_t{1} << (2 * level);
+    uint64_t* const words = marks + mark_offset_[level];
+    RegionStats* const out = stats_.data() + level_offset_[level];
+    const int32_t side_mask = (1 << level) - 1;
+    const auto body = [&](int32_t /*chunk*/, int64_t word_begin,
+                          int64_t word_end) {
+      RegionStats row0[128];
+      RegionStats row1[128];
+      for (int64_t w = word_begin; w < word_end; ++w) {
+        uint64_t bits = words[w];
+        words[w] = 0;
+        if (level >= 6 && bits == ~uint64_t{0}) {
+          RegionStats* const run = out + w * 64;
+          const auto ix0 = static_cast<int32_t>(w * 64) & side_mask;
+          const auto iy = static_cast<int32_t>((w * 64) >> level);
+          if (level != deepest) {
+            for (int32_t j = 0; j < 64; ++j) {
+              run[j] = node_value(ix0 + j, iy);
+            }
+            continue;
+          }
+          grid_->CellStatsSpan(2 * ix0, 2 * iy, 128, row0);
+          grid_->CellStatsSpan(2 * ix0, 2 * iy + 1, 128, row1);
+          for (int32_t j = 0; j < 64; ++j) {
+            RegionStats agg;
+            agg = agg + row0[2 * j];
+            agg = agg + row0[2 * j + 1];
+            agg = agg + row1[2 * j];
+            agg = agg + row1[2 * j + 1];
+            run[j] = agg;
+          }
+          continue;
+        }
+        for (; bits != 0; bits &= bits - 1) {
+          const int64_t i = w * 64 + __builtin_ctzll(bits);
+          out[i] = node_value(static_cast<int32_t>(i) & side_mask,
+                              static_cast<int32_t>(i >> level));
+        }
+      }
+    };
+    const int64_t word_count = (nodes + 63) / 64;
+    if (pooled && nodes >= kParallelNodes) {
+      pool->ParallelFor(0, word_count, 1, body);
+    } else {
+      body(0, 0, word_count);
+    }
+  };
+  recompute_level(leaf - 1, [this](int32_t ix, int32_t iy) {
+    return SumOfLeaves(ix, iy);
+  });
+  for (int32_t level = leaf - 2; level >= 0; --level) {
+    recompute_level(level, [this, level](int32_t ix, int32_t iy) {
+      return SumOfChildren(level, ix, iy);
+    });
+  }
+  return marked;
 }
 
 std::array<QuadNodeRef, 4> QuadHierarchy::Children(
@@ -113,13 +231,9 @@ RegionStats QuadHierarchy::Stats(const QuadNodeRef& ref) const {
   if (ref.level == leaf_level()) {
     LIRA_DCHECK(ref.ix >= 0 && ref.ix < (1 << ref.level));
     LIRA_DCHECK(ref.iy >= 0 && ref.iy < (1 << ref.level));
-    // Virtual leaf: the grid's cell statistics, the exact bits CellStatsRow
-    // would have stored (MeanSpeed shares its guarded-divide expression).
-    RegionStats out;
-    out.n = grid_->NodeCount(ref.ix, ref.iy);
-    out.m = grid_->QueryCount(ref.ix, ref.iy);
-    out.s = grid_->MeanSpeed(ref.ix, ref.iy);
-    return out;
+    // Virtual leaf: the grid's cell statistics, the exact bits the deepest
+    // interior level aggregated.
+    return grid_->CellStats(ref.ix, ref.iy);
   }
   return stats_[FlatIndex(ref)];
 }
@@ -133,7 +247,8 @@ Rect QuadHierarchy::RegionOf(const QuadNodeRef& ref) const {
 }
 
 int64_t QuadHierarchy::TotalNodes() const {
-  return static_cast<int64_t>(level_offset_[num_levels_]);
+  return num_levels_ > 0 ? static_cast<int64_t>(level_offset_[num_levels_])
+                         : 0;
 }
 
 size_t QuadHierarchy::FlatIndex(const QuadNodeRef& ref) const {

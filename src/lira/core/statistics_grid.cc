@@ -56,12 +56,26 @@ void StatisticsGrid::ClearNodes() {
   std::fill(node_acc_.begin(), node_acc_.end(), int64_t{0});
   total_node_count_ = 0;
   total_speed_q_ = 0;
+  MarkAllDirty();
 }
 
 void StatisticsGrid::ClearQueries() {
   std::fill(query_count_.begin(), query_count_.end(), 0.0);
   total_queries_ = 0.0;
   total_queries_valid_ = true;
+  MarkAllDirty();
+}
+
+void StatisticsGrid::ClearDirty() {
+  if (all_dirty_) {
+    dirty_bits_.assign((query_count_.size() + 63) / 64, 0);
+  } else {
+    for (const int32_t cell : dirty_cells_) {
+      dirty_bits_[static_cast<size_t>(cell) >> 6] = 0;
+    }
+  }
+  dirty_cells_.clear();
+  all_dirty_ = false;
 }
 
 void StatisticsGrid::LocateCell(Point p, int32_t* ix, int32_t* iy) const {
@@ -90,6 +104,7 @@ void StatisticsGrid::RemoveNode(Point position, double speed) {
 void StatisticsGrid::AddNodeAt(int32_t cell, double speed) {
   LIRA_DCHECK(cell >= 0 &&
               cell < static_cast<int32_t>(node_acc_.size() / 2));
+  MarkDirty(cell);
   int64_t* const acc = node_acc_.data() + 2 * static_cast<size_t>(cell);
   acc[0] += 1;
   acc[1] += QuantizeSpeed(speed);
@@ -100,6 +115,7 @@ void StatisticsGrid::AddNodeAt(int32_t cell, double speed) {
 void StatisticsGrid::RemoveNodeAt(int32_t cell, double speed) {
   LIRA_DCHECK(cell >= 0 &&
               cell < static_cast<int32_t>(node_acc_.size() / 2));
+  MarkDirty(cell);
   // Unmatched removals clamp at zero; the totals subtract only what was
   // actually applied so they always equal the per-cell sums.
   int64_t* const acc = node_acc_.data() + 2 * static_cast<size_t>(cell);
@@ -114,6 +130,7 @@ void StatisticsGrid::RemoveNodeAt(int32_t cell, double speed) {
 void StatisticsGrid::AddNodeQAt(int32_t cell, int64_t q) {
   LIRA_DCHECK(cell >= 0 &&
               cell < static_cast<int32_t>(node_acc_.size() / 2));
+  MarkDirty(cell);
   int64_t* const acc = node_acc_.data() + 2 * static_cast<size_t>(cell);
   acc[0] += 1;
   acc[1] += q;
@@ -124,6 +141,7 @@ void StatisticsGrid::AddNodeQAt(int32_t cell, int64_t q) {
 void StatisticsGrid::RemoveNodeQAt(int32_t cell, int64_t q) {
   LIRA_DCHECK(cell >= 0 &&
               cell < static_cast<int32_t>(node_acc_.size() / 2));
+  MarkDirty(cell);
   int64_t* const acc = node_acc_.data() + 2 * static_cast<size_t>(cell);
   const int64_t count_delta = std::min<int64_t>(1, acc[0]);
   const int64_t speed_delta = std::min(q, acc[1]);
@@ -137,6 +155,7 @@ void StatisticsGrid::ApplyNodeDelta(int32_t cell, int64_t count_delta,
                                     int64_t speed_q_delta) {
   LIRA_DCHECK(cell >= 0 &&
               cell < static_cast<int32_t>(node_acc_.size() / 2));
+  MarkDirty(cell);
   int64_t* const acc = node_acc_.data() + 2 * static_cast<size_t>(cell);
   acc[0] += count_delta;
   acc[1] += speed_q_delta;
@@ -164,6 +183,7 @@ Status StatisticsGrid::Merge(const StatisticsGrid& other) {
   total_node_count_ += other.total_node_count_;
   total_speed_q_ += other.total_speed_q_;
   total_queries_valid_ = false;
+  MarkAllDirty();
   return OkStatus();
 }
 
@@ -213,6 +233,7 @@ Status StatisticsGrid::AssignNodeSum(
     total_node_count_ += part->total_node_count_;
     total_speed_q_ += part->total_speed_q_;
   }
+  MarkAllDirty();
   return OkStatus();
 }
 
@@ -256,6 +277,7 @@ void StatisticsGrid::AddQueriesRange(const QueryRegistry& registry,
     }
   }
   total_queries_valid_ = false;
+  MarkAllDirty();
 }
 
 bool StatisticsGrid::QueryCountsEqual(const StatisticsGrid& other) const {
@@ -272,22 +294,10 @@ double StatisticsGrid::QueryCount(int32_t ix, int32_t iy) const {
   return query_count_[CellIndex(ix, iy)];
 }
 
-double StatisticsGrid::SpeedSumAt(size_t idx) const {
-  return static_cast<double>(node_acc_[2 * idx + 1]) / kSpeedScale;
-}
-
 double StatisticsGrid::MeanSpeed(int32_t ix, int32_t iy) const {
   const size_t idx = CellIndex(ix, iy);
   const int64_t count = node_acc_[2 * idx];
   return count > 0 ? SpeedSumAt(idx) / static_cast<double>(count) : 0.0;
-}
-
-RegionStats StatisticsGrid::CellStats(int32_t ix, int32_t iy) const {
-  RegionStats stats;
-  stats.n = NodeCount(ix, iy);
-  stats.m = QueryCount(ix, iy);
-  stats.s = MeanSpeed(ix, iy);
-  return stats;
 }
 
 void StatisticsGrid::LocateCells(int64_t n, const double* px, const double* py,
@@ -300,20 +310,22 @@ void StatisticsGrid::LocateCells(int64_t n, const double* px, const double* py,
   kernels::LocateCells(n, px, py, known, spec, cell_w_, cell_h_, alpha_, cell);
 }
 
-void StatisticsGrid::CellStatsRow(int32_t iy, RegionStats* out) const {
+void StatisticsGrid::CellStatsSpan(int32_t ix, int32_t iy, int32_t count,
+                                   RegionStats* out) const {
+  LIRA_DCHECK(ix >= 0 && count >= 0 && ix + count <= alpha_);
   LIRA_DCHECK(iy >= 0 && iy < alpha_);
-  const size_t row = CellIndex(0, iy);
-  const int64_t* __restrict acc = node_acc_.data() + 2 * row;
-  const double* __restrict queries = query_count_.data() + row;
-  for (int32_t ix = 0; ix < alpha_; ++ix) {
-    const int64_t count = acc[2 * ix];
-    const int64_t speed_q = acc[2 * ix + 1];
-    out[ix].n = static_cast<double>(count);
-    out[ix].m = queries[ix];
-    // MeanSpeed's expression verbatim (SpeedSumAt then the guarded divide).
-    out[ix].s = count > 0 ? (static_cast<double>(speed_q) / kSpeedScale) /
-                                static_cast<double>(count)
-                          : 0.0;
+  const size_t first = CellIndex(ix, iy);
+  const int64_t* __restrict acc = node_acc_.data() + 2 * first;
+  const double* __restrict queries = query_count_.data() + first;
+  for (int32_t i = 0; i < count; ++i) {
+    const int64_t cell_count = acc[2 * i];
+    const int64_t speed_q = acc[2 * i + 1];
+    out[i].n = static_cast<double>(cell_count);
+    out[i].m = queries[i];
+    // CellStats' expression verbatim (SpeedSumAt then the guarded divide).
+    out[i].s = cell_count > 0 ? (static_cast<double>(speed_q) / kSpeedScale) /
+                                    static_cast<double>(cell_count)
+                              : 0.0;
   }
 }
 

@@ -10,6 +10,10 @@
 // to a from-scratch rebuild of the same observations, which is what lets the
 // CQ server delta-maintain the grid across adaptations instead of clearing
 // and repopulating it (DESIGN.md section 8).
+//
+// The grid also records which cells changed since its dirty set was last
+// cleared, so a kept quad tree refreshes only their ancestors
+// (QuadHierarchy::Refresh).
 
 #ifndef LIRA_CORE_STATISTICS_GRID_H_
 #define LIRA_CORE_STATISTICS_GRID_H_
@@ -63,6 +67,28 @@ class StatisticsGrid {
   void ClearNodes();
   /// Clears query statistics (m).
   void ClearQueries();
+
+  /// The dirty set: the cells whose statistics may have changed since the
+  /// last ClearDirty. Every per-cell mutator (AddNode*, RemoveNode*,
+  /// ApplyNodeDelta) appends its cell once; the bulk operations (ClearNodes,
+  /// ClearQueries, AddQueries*, Merge, AssignNodeSum) touch every cell and
+  /// mark the grid all-dirty instead, and so does a list that outgrows
+  /// 1 / kDirtyShareDivisor of the cells. A sparse quad refresh of scattered
+  /// cells costs as much as a full build near 1/10 of the cells at
+  /// alpha = 1024 (BM_QuadHierarchyRefresh), so past 1/16 the full build
+  /// is the cheaper bet. A new grid is all-dirty; while all-dirty the
+  /// mutators record nothing.
+  static constexpr int32_t kDirtyShareDivisor = 16;
+  bool all_dirty() const { return all_dirty_; }
+  /// The dirty cells' flat indices, in first-touch order; meaningful only
+  /// while !all_dirty().
+  const std::vector<int32_t>& dirty_cells() const { return dirty_cells_; }
+  void MarkAllDirty() {
+    all_dirty_ = true;
+    dirty_cells_.clear();
+  }
+  /// Empties the dirty set: whatever consumed it is now current.
+  void ClearDirty();
 
   /// Adds one node observation at `position` moving at `speed` m/s.
   void AddNode(Point position, double speed);
@@ -142,7 +168,17 @@ class StatisticsGrid {
   double NodeCount(int32_t ix, int32_t iy) const;
   double QueryCount(int32_t ix, int32_t iy) const;
   double MeanSpeed(int32_t ix, int32_t iy) const;
-  RegionStats CellStats(int32_t ix, int32_t iy) const;
+  /// All three at once: n, m, and MeanSpeed's guarded divide verbatim. Inline
+  /// because the quad tree's deepest level reads four cells per node.
+  RegionStats CellStats(int32_t ix, int32_t iy) const {
+    const size_t idx = CellIndex(ix, iy);
+    const int64_t count = node_acc_[2 * idx];
+    RegionStats stats;
+    stats.n = static_cast<double>(count);
+    stats.m = query_count_[idx];
+    stats.s = count > 0 ? SpeedSumAt(idx) / static_cast<double>(count) : 0.0;
+    return stats;
+  }
 
   /// Bulk CellIndexOf over structure-of-arrays point lanes: cell[i] =
   /// CellIndexOf({px[i], py[i]}), or -1 where known[i] == 0 (known ==
@@ -151,12 +187,6 @@ class StatisticsGrid {
   void LocateCells(int64_t n, const double* px, const double* py,
                    const uint8_t* known, int32_t* cell) const;
 
-  /// Writes row iy's statistics into out[0..alpha): bitwise equal to
-  /// CellStats(ix, iy) per cell, but one walk over the raw accumulator rows
-  /// instead of three accessor calls per cell -- the quad-tree leaf fill
-  /// path, where the per-cell call overhead dominates at alpha = 1024.
-  void CellStatsRow(int32_t iy, RegionStats* out) const;
-
   /// Prefetch hint for a cell's node accumulators (no numeric effect). The
   /// delta-relocation loop knows its upcoming cells from the bulk-located
   /// lane array, so it issues these a few lanes ahead to hide the
@@ -164,6 +194,13 @@ class StatisticsGrid {
   void PrefetchCellAcc(int32_t cell) const {
     __builtin_prefetch(node_acc_.data() + 2 * static_cast<size_t>(cell), 1, 1);
   }
+
+  /// Writes the statistics of cells (ix .. ix + count - 1, iy) into
+  /// out[0..count): bitwise equal to CellStats per cell, but one walk over
+  /// the raw accumulator row that the compiler vectorizes -- the quad tree's
+  /// dense path, where a full build reads every cell.
+  void CellStatsSpan(int32_t ix, int32_t iy, int32_t count,
+                     RegionStats* out) const;
 
   /// Aggregated statistics of an arbitrary rectangle. Cells partially
   /// covered contribute proportionally to the covered area fraction (their
@@ -192,7 +229,25 @@ class StatisticsGrid {
   }
   /// Cell containing a (clamped) point.
   void LocateCell(Point p, int32_t* ix, int32_t* iy) const;
-  double SpeedSumAt(size_t idx) const;
+  double SpeedSumAt(size_t idx) const {
+    return static_cast<double>(node_acc_[2 * idx + 1]) / kSpeedScale;
+  }
+  /// Adds `cell` to the dirty set (see dirty_cells()).
+  void MarkDirty(int32_t cell) {
+    if (all_dirty_) {
+      return;
+    }
+    uint64_t& word = dirty_bits_[static_cast<size_t>(cell) >> 6];
+    const uint64_t bit = uint64_t{1} << (cell & 63);
+    if ((word & bit) != 0) {
+      return;
+    }
+    word |= bit;
+    dirty_cells_.push_back(cell);
+    if (dirty_cells_.size() * kDirtyShareDivisor > query_count_.size()) {
+      MarkAllDirty();
+    }
+  }
 
   Rect world_;
   int32_t alpha_;
@@ -212,6 +267,12 @@ class StatisticsGrid {
   /// single-reader per server).
   mutable double total_queries_ = 0.0;
   mutable bool total_queries_valid_ = true;
+  /// The dirty set: one bit per cell (allocated by the first ClearDirty, so
+  /// a grid nobody refreshes from never pays for it) plus the list of set
+  /// bits, which bounds the clearing work to the cells actually touched.
+  bool all_dirty_ = true;
+  std::vector<uint64_t> dirty_bits_;
+  std::vector<int32_t> dirty_cells_;
 };
 
 }  // namespace lira

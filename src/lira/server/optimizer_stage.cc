@@ -88,7 +88,7 @@ double OptimizerStage::FixedThrottle(double now) {
 Status OptimizerStage::BuildPlan(const LoadSheddingPolicy& policy,
                                  const StatisticsGrid& stats,
                                  const UpdateReductionFunction& reduction,
-                                 double now) {
+                                 double now, QuadHierarchy* quad) {
   PolicyContext ctx;
   ctx.stats = &stats;
   ctx.reduction = &reduction;
@@ -96,6 +96,7 @@ Status OptimizerStage::BuildPlan(const LoadSheddingPolicy& policy,
   ctx.telemetry = telemetry_;
   ctx.now = now;
   ctx.pool = pool_;
+  ctx.quad = quad;
   const auto start = std::chrono::steady_clock::now();
   auto plan = policy.BuildPlan(ctx);
   const auto elapsed = std::chrono::steady_clock::now() - start;

@@ -57,10 +57,13 @@ class OptimizerStage {
   /// Re-asserts the configured fixed z (samples the z gauge). Returns it.
   double FixedThrottle(double now);
 
-  /// Builds and installs a new plan from `stats` at the current z.
+  /// Builds and installs a new plan from `stats` at the current z. `quad`
+  /// is the kept quad tree bound to `stats` (PolicyContext::quad), or
+  /// nullptr for a fresh one.
   Status BuildPlan(const LoadSheddingPolicy& policy,
                    const StatisticsGrid& stats,
-                   const UpdateReductionFunction& reduction, double now);
+                   const UpdateReductionFunction& reduction, double now,
+                   QuadHierarchy* quad = nullptr);
 
   double z() const { return z_; }
   const SheddingPlan& plan() const { return plan_; }

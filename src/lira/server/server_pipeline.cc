@@ -183,7 +183,8 @@ Status ServerPipeline::Adapt() {
   {
     telemetry::ScopedSpan plan_span(tr, lane, "optimizer.plan_build", tick_,
                                     -1, time_);
-    built = optimizer_.BuildPlan(*policy_, stats_.grid(), *reduction_, time_);
+    built = optimizer_.BuildPlan(*policy_, stats_.grid(), *reduction_, time_,
+                                 stats_.quad_tree());
     plan_span.set_value(static_cast<double>(optimizer_.plan().NumRegions()));
   }
   // The plan is now visible to every shard and to the encoders (the

@@ -177,6 +177,9 @@ class ServerPipeline {
   /// The global statistics grid the optimizer plans over (the single
   /// server's own grid, the cluster coordinator's merged grid).
   const StatisticsGrid& stats() const { return stats_.grid(); }
+  /// The quad tree kept over stats() for LiraPolicy (empty under the other
+  /// policies).
+  const QuadHierarchy& quad_tree() const { return stats_.quad_tree(); }
 
   /// Cumulative time spent building plans (seconds) and number of builds,
   /// for the server-side-cost experiments.

@@ -52,6 +52,7 @@
 #include "lira/common/parallel.h"
 #include "lira/common/rng.h"
 #include "lira/common/status.h"
+#include "lira/core/quad_hierarchy.h"
 #include "lira/core/statistics_grid.h"
 #include "lira/cq/query_registry.h"
 #include "lira/mobility/position.h"
@@ -72,7 +73,11 @@ struct StatsStageConfig {
   /// Final sampling-RNG seed; the caller pre-mixes (the facade server
   /// passes `seed ^ 0x57a75`, shard k mixes its shard stream in first).
   uint64_t seed = 1234;
-  /// Instrument namespace: "<metric_prefix>.stats.cells_dirtied".
+  /// Instrument namespace of the counter "<metric_prefix>.stats.cells_dirtied",
+  /// which counts relocation touches: one per contribution removed from a
+  /// cell and one per contribution added to a different cell. A cell two
+  /// nodes move into counts twice, so it reads about twice the distinct
+  /// cells in the grid's dirty set.
   std::string metric_prefix = "lira";
   /// Optional telemetry (not owned; must outlive the stage).
   telemetry::TelemetrySink* telemetry = nullptr;
@@ -111,6 +116,16 @@ class StatsStage {
   /// The coordinator merges shard grids into its own through this.
   StatisticsGrid* mutable_grid() { return &grid_; }
 
+  /// The quad tree kept over grid() across adaptations, for
+  /// PolicyContext::quad. Bound on every call, so a moved stage hands out a
+  /// tree over its own grid (and rebuilds it in full once). Empty until a
+  /// policy first refreshes it; freed with the stage.
+  QuadHierarchy* quad_tree() {
+    quad_.Bind(&grid_);
+    return &quad_;
+  }
+  const QuadHierarchy& quad_tree() const { return quad_; }
+
   /// True when the delta-maintenance fast path owns the node statistics.
   bool IncrementalEnabled() const {
     return incremental_stats_ && stats_sample_fraction_ == 1.0;
@@ -129,7 +144,8 @@ class StatsStage {
 
   /// Columnar incremental rebuild (see file comment). `deltas` == nullptr
   /// mutates the grid directly (serial mode); otherwise relocations are
-  /// queued for deferred application. Returns cells dirtied.
+  /// queued for deferred application. Returns the relocation touches
+  /// (StatsStageConfig::metric_prefix).
   int64_t RelocateRange(const PositionTracker& tracker, double now,
                         FrameArena* arena, int64_t begin, int64_t end,
                         std::vector<CellDelta>* deltas);
@@ -147,6 +163,7 @@ class StatsStage {
   bool incremental_stats_;
   ThreadPool* pool_;
   StatisticsGrid grid_;
+  QuadHierarchy quad_;
   Rng stats_rng_;
   /// Delta-maintenance state: each node's last contribution to the grid,
   /// as its flat cell index (-1 = none) and the quantized speed it was

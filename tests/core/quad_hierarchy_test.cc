@@ -1,5 +1,7 @@
 #include "lira/core/quad_hierarchy.h"
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "lira/common/parallel.h"
@@ -138,6 +140,122 @@ TEST(QuadHierarchyTest, PooledBuildIsBitwiseIdenticalToSerial) {
       }
     }
   }
+}
+
+/// Every interior node of `a` and `b` holds the same bits.
+void ExpectInteriorBitwiseEqual(const QuadHierarchy& a,
+                                const QuadHierarchy& b) {
+  ASSERT_EQ(a.num_levels(), b.num_levels());
+  for (int32_t level = 0; level < a.leaf_level(); ++level) {
+    const int32_t side = 1 << level;
+    for (int32_t iy = 0; iy < side; ++iy) {
+      for (int32_t ix = 0; ix < side; ++ix) {
+        const QuadNodeRef ref{level, ix, iy};
+        const RegionStats x = a.Stats(ref);
+        const RegionStats y = b.Stats(ref);
+        ASSERT_EQ(std::memcmp(&x, &y, sizeof(RegionStats)), 0)
+            << "level " << level << " (" << ix << ", " << iy << ")";
+      }
+    }
+  }
+}
+
+TEST(QuadHierarchyTest, RefreshMatchesFullBuildBitwise) {
+  // A kept tree refreshed from the grid's dirty set equals a fresh build
+  // after every batch: an empty dirty set, one corner cell, random batches
+  // of the per-cell mutators below and past the all-dirty share, and a
+  // query recount (a bulk operation).
+  for (const int32_t alpha : {1, 2, 64, 1024}) {
+    StatisticsGrid grid = PopulatedGrid(alpha);
+    QuadHierarchy kept;
+    kept.Bind(&grid);
+    const int64_t cells = int64_t{alpha} * alpha;
+    const int64_t interior = (cells - 1) / 3;
+    const int64_t share = cells / StatisticsGrid::kDirtyShareDivisor;
+    ASSERT_EQ(kept.Refresh(), interior) << "alpha=" << alpha;
+    ExpectInteriorBitwiseEqual(kept, QuadHierarchy::Build(grid));
+
+    Rng rng(static_cast<uint64_t>(alpha));
+    const int64_t q = StatisticsGrid::QuantizeSpeed(11.25);
+    const auto mutate = [&](int64_t count) {
+      for (int64_t k = 0; k < count; ++k) {
+        const auto cell = static_cast<int32_t>(rng.UniformInt(cells));
+        const auto ix = static_cast<int32_t>(cell % alpha);
+        const auto iy = static_cast<int32_t>(cell / alpha);
+        switch (rng.UniformInt(4)) {
+          case 0:
+            grid.AddNodeQAt(cell, q + static_cast<int64_t>(k));
+            break;
+          case 1:
+            grid.RemoveNodeQAt(cell, q);
+            break;
+          case 2:
+            grid.ApplyNodeDelta(cell, 1, 3 * q);
+            break;
+          default:
+            if (grid.NodeCount(ix, iy) > 0.0) {
+              grid.ApplyNodeDelta(cell, -1, -q / 2);
+            }
+            break;
+        }
+      }
+    };
+    QueryRegistry extra;
+    extra.Add(Rect{200.0, 300.0, 700.0, 900.0});
+    for (int round = 0; round < 9; ++round) {
+      int64_t expect = -1;  // -1: some count in (0, interior]
+      switch (round) {
+        case 0:  // nothing changed
+          expect = 0;
+          break;
+        case 1:  // the far corner: one node per interior level
+          grid.AddNodeQAt(static_cast<int32_t>(cells - 1), q);
+          expect = share >= 1 ? kept.leaf_level() : interior;
+          break;
+        case 5:  // past the share: the grid gives up on the list
+          mutate(2 * share + 2);
+          expect = interior;
+          break;
+        case 7:  // a bulk operation
+          grid.AddQueries(extra, 25.0);
+          expect = interior;
+          break;
+        default:
+          mutate(1 + static_cast<int64_t>(rng.UniformInt(
+                         static_cast<uint64_t>(share / 2 + 1))));
+          break;
+      }
+      const bool all_dirty = grid.all_dirty();
+      const int64_t refreshed = kept.Refresh();
+      EXPECT_FALSE(grid.all_dirty());
+      EXPECT_TRUE(grid.dirty_cells().empty());
+      if (expect >= 0) {
+        EXPECT_EQ(refreshed, expect) << "alpha=" << alpha << " round " << round;
+      } else if (all_dirty) {
+        EXPECT_EQ(refreshed, interior) << "alpha=" << alpha;
+      } else {
+        EXPECT_LT(refreshed, interior) << "alpha=" << alpha;
+      }
+      ExpectInteriorBitwiseEqual(kept, QuadHierarchy::Build(grid));
+      if (HasFatalFailure()) {
+        return;
+      }
+    }
+  }
+}
+
+TEST(QuadHierarchyTest, RebindingToAnotherGridRebuildsInFull) {
+  StatisticsGrid a = PopulatedGrid(16, 100);
+  StatisticsGrid b = PopulatedGrid(16, 400);
+  QuadHierarchy kept;
+  kept.Bind(&a);
+  kept.Refresh();
+  kept.Bind(&a);  // same grid: nothing to redo
+  EXPECT_EQ(kept.Refresh(), 0);
+  kept.Bind(&b);
+  EXPECT_TRUE(b.all_dirty());
+  EXPECT_EQ(kept.Refresh(), kept.InteriorNodes());
+  ExpectInteriorBitwiseEqual(kept, QuadHierarchy::Build(b));
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include "lira/core/statistics_grid.h"
 
+#include <functional>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "lira/common/rng.h"
@@ -504,6 +507,63 @@ TEST(StatisticsGridTest, AddQueriesRangeAppendMatchesFullPass) {
   // FP addition per cell is order-sensitive in general, but equality here
   // would not be wrong -- only the in-order contract is guaranteed.
   EXPECT_EQ(reordered.TotalQueries() > 0.0, true);
+}
+
+TEST(StatisticsGridTest, DirtySetRecordsCellMutatorsAndBulkOperations) {
+  auto grid = StatisticsGrid::Create(kWorld, 64);
+  ASSERT_TRUE(grid.ok());
+  EXPECT_TRUE(grid->all_dirty());  // a new grid has no refreshed tree yet
+  grid->ClearDirty();
+  EXPECT_FALSE(grid->all_dirty());
+  EXPECT_TRUE(grid->dirty_cells().empty());
+
+  // Each per-cell mutator records its cell once, in first-touch order.
+  const int64_t q = StatisticsGrid::QuantizeSpeed(9.0);
+  grid->AddNodeQAt(7, q);
+  grid->AddNodeAt(4095, 9.0);
+  grid->RemoveNodeQAt(7, q);
+  grid->ApplyNodeDelta(100, 1, q);
+  grid->RemoveNodeAt(100, 9.0);
+  grid->AddNode({5.0, 5.0}, 9.0);  // cell 0
+  EXPECT_EQ(grid->dirty_cells(), (std::vector<int32_t>{7, 4095, 100, 0}));
+  grid->ClearDirty();
+  EXPECT_TRUE(grid->dirty_cells().empty());
+  grid->AddNodeQAt(7, q);  // the cleared bit records again
+  EXPECT_EQ(grid->dirty_cells(), (std::vector<int32_t>{7}));
+
+  // A list longer than the share gives up and marks everything.
+  grid->ClearDirty();
+  const int32_t share = 64 * 64 / StatisticsGrid::kDirtyShareDivisor;
+  for (int32_t cell = 0; cell < share; ++cell) {
+    grid->AddNodeQAt(cell, q);
+  }
+  EXPECT_FALSE(grid->all_dirty());
+  grid->AddNodeQAt(share, q);
+  EXPECT_TRUE(grid->all_dirty());
+  EXPECT_TRUE(grid->dirty_cells().empty());
+  grid->AddNodeQAt(share + 1, q);  // nothing recorded while all-dirty
+  EXPECT_TRUE(grid->dirty_cells().empty());
+
+  // Every bulk operation marks the whole grid.
+  QueryRegistry registry;
+  registry.Add(Rect{0.0, 0.0, 100.0, 100.0});
+  const StatisticsGrid other = *grid;
+  const std::vector<const StatisticsGrid*> parts = {&other};
+  const std::vector<std::function<void()>> bulk = {
+      [&] { grid->ClearNodes(); },
+      [&] { grid->ClearQueries(); },
+      [&] { grid->AddQueries(registry); },
+      [&] { grid->AddQueriesRange(registry, 0, 1); },
+      [&] { ASSERT_TRUE(grid->Merge(other).ok()); },
+      [&] { ASSERT_TRUE(grid->AssignNodeSum(parts, nullptr).ok()); },
+  };
+  for (size_t op = 0; op < bulk.size(); ++op) {
+    grid->ClearDirty();
+    grid->AddNodeQAt(3, q);
+    bulk[op]();
+    EXPECT_TRUE(grid->all_dirty()) << "bulk operation " << op;
+    EXPECT_TRUE(grid->dirty_cells().empty()) << "bulk operation " << op;
+  }
 }
 
 TEST(RegionStatsTest, AdditionMergesSpeedByNodeWeight) {
