@@ -304,7 +304,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     PositionTracker tracker(nodes);
-    const double margin = QueryMargin(config, *reduction);
+    const double margin = QueryMargin(*reduction);
     auto adapt = [&](double now) {
       telemetry::ScopedTimer total(&sinks[0], "lira.adapt.total_seconds",
                                    now);

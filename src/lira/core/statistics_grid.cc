@@ -94,37 +94,7 @@ int32_t StatisticsGrid::CellIndexOf(Point p) const {
 }
 
 void StatisticsGrid::AddNode(Point position, double speed) {
-  AddNodeAt(CellIndexOf(position), speed);
-}
-
-void StatisticsGrid::RemoveNode(Point position, double speed) {
-  RemoveNodeAt(CellIndexOf(position), speed);
-}
-
-void StatisticsGrid::AddNodeAt(int32_t cell, double speed) {
-  LIRA_DCHECK(cell >= 0 &&
-              cell < static_cast<int32_t>(node_acc_.size() / 2));
-  MarkDirty(cell);
-  int64_t* const acc = node_acc_.data() + 2 * static_cast<size_t>(cell);
-  acc[0] += 1;
-  acc[1] += QuantizeSpeed(speed);
-  total_node_count_ += 1;
-  total_speed_q_ += QuantizeSpeed(speed);
-}
-
-void StatisticsGrid::RemoveNodeAt(int32_t cell, double speed) {
-  LIRA_DCHECK(cell >= 0 &&
-              cell < static_cast<int32_t>(node_acc_.size() / 2));
-  MarkDirty(cell);
-  // Unmatched removals clamp at zero; the totals subtract only what was
-  // actually applied so they always equal the per-cell sums.
-  int64_t* const acc = node_acc_.data() + 2 * static_cast<size_t>(cell);
-  const int64_t count_delta = std::min<int64_t>(1, acc[0]);
-  const int64_t speed_delta = std::min(QuantizeSpeed(speed), acc[1]);
-  acc[0] -= count_delta;
-  acc[1] -= speed_delta;
-  total_node_count_ -= count_delta;
-  total_speed_q_ -= speed_delta;
+  AddNodeQAt(CellIndexOf(position), QuantizeSpeed(speed));
 }
 
 void StatisticsGrid::AddNodeQAt(int32_t cell, int64_t q) {
@@ -142,6 +112,8 @@ void StatisticsGrid::RemoveNodeQAt(int32_t cell, int64_t q) {
   LIRA_DCHECK(cell >= 0 &&
               cell < static_cast<int32_t>(node_acc_.size() / 2));
   MarkDirty(cell);
+  // Unmatched removals clamp at zero; the totals subtract only what was
+  // actually applied so they always equal the per-cell sums.
   int64_t* const acc = node_acc_.data() + 2 * static_cast<size_t>(cell);
   const int64_t count_delta = std::min<int64_t>(1, acc[0]);
   const int64_t speed_delta = std::min(q, acc[1]);

@@ -6,10 +6,10 @@
 //
 // Node statistics are held in integer accumulators (counts, plus speeds in
 // 2^-20 m/s fixed point) so that incremental maintenance is *exact*: any
-// interleaving of AddNode/RemoveNode pairs leaves the grid bitwise identical
-// to a from-scratch rebuild of the same observations, which is what lets the
-// CQ server delta-maintain the grid across adaptations instead of clearing
-// and repopulating it (DESIGN.md section 8).
+// interleaving of AddNodeQAt/RemoveNodeQAt pairs leaves the grid bitwise
+// identical to a from-scratch rebuild of the same observations, which is
+// what lets the CQ server delta-maintain the grid across adaptations
+// instead of clearing and repopulating it (DESIGN.md section 8).
 //
 // The grid also records which cells changed since its dirty set was last
 // cleared, so a kept quad tree refreshes only their ancestors
@@ -48,7 +48,7 @@ class StatisticsGrid {
   Rect CellRect(int32_t ix, int32_t iy) const;
 
   /// Flat index (iy * alpha + ix) of the cell containing the (clamped)
-  /// point -- the key used by AddNodeAt/RemoveNodeAt delta maintenance.
+  /// point -- the key used by AddNodeQAt/RemoveNodeQAt delta maintenance.
   int32_t CellIndexOf(Point p) const;
 
   /// Speeds are accumulated in units of 2^-20 m/s (~1e-6 m/s resolution,
@@ -69,10 +69,11 @@ class StatisticsGrid {
   void ClearQueries();
 
   /// The dirty set: the cells whose statistics may have changed since the
-  /// last ClearDirty. Every per-cell mutator (AddNode*, RemoveNode*,
-  /// ApplyNodeDelta) appends its cell once; the bulk operations (ClearNodes,
-  /// ClearQueries, AddQueries*, Merge, AssignNodeSum) touch every cell and
-  /// mark the grid all-dirty instead, and so does a list that outgrows
+  /// last ClearDirty. Every per-cell mutator (AddNode, AddNodeQAt,
+  /// RemoveNodeQAt, ApplyNodeDelta) appends its cell once; the bulk
+  /// operations (ClearNodes, ClearQueries, AddQueries*, Merge,
+  /// AssignNodeSum) touch every cell and mark the grid all-dirty instead,
+  /// and so does a list that outgrows
   /// 1 / kDirtyShareDivisor of the cells. A sparse quad refresh of scattered
   /// cells costs as much as a full build near 1/10 of the cells at
   /// alpha = 1024 (BM_QuadHierarchyRefresh), so past 1/16 the full build
@@ -90,20 +91,16 @@ class StatisticsGrid {
   /// Empties the dirty set: whatever consumed it is now current.
   void ClearDirty();
 
-  /// Adds one node observation at `position` moving at `speed` m/s.
+  /// Adds one node observation at `position` moving at `speed` m/s:
+  /// AddNodeQAt(CellIndexOf(position), QuantizeSpeed(speed)).
   void AddNode(Point position, double speed);
-  /// Removes a previously added node observation (incremental maintenance).
-  void RemoveNode(Point position, double speed);
 
-  /// As above with a precomputed flat cell index (from CellIndexOf) -- the
-  /// delta-maintenance hot path, which relocates only the observations that
-  /// actually changed cell or speed.
-  void AddNodeAt(int32_t cell, double speed);
-  void RemoveNodeAt(int32_t cell, double speed);
-
-  /// Add/Remove with the speed already quantized (q == QuantizeSpeed(speed)):
-  /// bitwise identical to AddNodeAt/RemoveNodeAt but without re-rounding,
-  /// for maintainers that cache the quantized contribution per node.
+  /// Adds / removes one node observation at a flat cell index (from
+  /// CellIndexOf) with its speed already quantized (q ==
+  /// QuantizeSpeed(speed)) -- the delta-maintenance hot path, which caches
+  /// each node's cell and quantized speed and relocates only the
+  /// observations that changed. An unmatched removal clamps the cell at
+  /// zero, and the totals subtract only what was actually removed.
   void AddNodeQAt(int32_t cell, int64_t q);
   void RemoveNodeQAt(int32_t cell, int64_t q);
 
@@ -115,7 +112,7 @@ class StatisticsGrid {
   /// is transiently negative mid-application. Callers must only submit
   /// deltas whose removals match previously present contributions (the
   /// delta-relocation path by construction does); unmatched removals are
-  /// NOT clamped the way RemoveNodeAt clamps.
+  /// NOT clamped the way RemoveNodeQAt clamps.
   void ApplyNodeDelta(int32_t cell, int64_t count_delta, int64_t speed_q_delta);
 
   /// Adds every accumulator of `other` into this grid (same world and

@@ -28,7 +28,7 @@ StatusOr<CqServer> CqServer::Create(const CqServerConfig& config,
   if (!stats_stage.ok()) {
     return stats_stage.status();
   }
-  stats_stage->RebuildQueries(*queries, QueryMargin(config, *reduction));
+  stats_stage->RebuildQueries(*queries, QueryMargin(*reduction));
 
   IngestStageConfig ingest_config;
   ingest_config.queue_capacity = config.queue_capacity;
@@ -59,12 +59,11 @@ StatusOr<CqServer> CqServer::Create(const CqServerConfig& config,
                   *std::move(optimizer));
 }
 
-void CqServer::ReceiveBatch(std::vector<ModelUpdate>* updates) {
-  RejectMalformed(updates);
+int64_t CqServer::Admit(std::vector<ModelUpdate>* updates) {
   telemetry::ScopedSpan span(config_.trace, driver_lane(), "ingest.receive",
                              tick_, -1, time_);
   span.set_value(static_cast<double>(updates->size()));
-  ingest_.Receive(updates, time_);
+  return ingest_.Receive(updates);
 }
 
 void CqServer::ServeTick(double dt) {
@@ -96,13 +95,6 @@ Status CqServer::RebuildNodeStats() {
   stats_.RebuildNodes(tracker_stage_.tracker(), time_);
   span.set_value(stats_.grid().TotalNodes());
   return OkStatus();
-}
-
-StatusOr<std::vector<NodeId>> CqServer::AnswerQuery(QueryId query) const {
-  if (query < 0 || query >= queries_->size()) {
-    return InvalidArgumentError("unknown query id");
-  }
-  return AnswerRange(queries_->Get(query).range, time_);
 }
 
 StatusOr<std::vector<NodeId>> CqServer::AnswerRange(const Rect& range,

@@ -53,21 +53,10 @@ class CqServer : public ServerPipeline {
                                    const UpdateReductionFunction* reduction,
                                    const QueryRegistry* queries);
 
-  /// Enqueues a batch of arriving position updates (drops when full),
-  /// consuming `*updates` in place (shuffled, elements moved from) so the
-  /// caller can clear and reuse the buffer's capacity across ticks -- the
-  /// simulator's frame loop calls this every frame. Receive (inherited)
-  /// takes an owned batch.
-  void ReceiveBatch(std::vector<ModelUpdate>* updates) override;
-
-  /// Answers an installed continual query from the TPR-tree at the server's
-  /// current time. Requires maintain_index.
-  StatusOr<std::vector<NodeId>> AnswerQuery(QueryId query) const;
-
-  /// Answers an ad-hoc snapshot range query at time t >= now. Requires
-  /// maintain_index.
+  /// Answers an ad-hoc snapshot range query at time t >= now from the
+  /// TPR-tree, in tree-traversal order. Requires maintain_index.
   StatusOr<std::vector<NodeId>> AnswerRange(const Rect& range,
-                                            double t) const;
+                                            double t) const override;
 
   /// The history store, or nullptr when record_history is off.
   const HistoryStore* history() const { return tracker_stage_.history(); }
@@ -109,6 +98,8 @@ class CqServer : public ServerPipeline {
            TrackerStage tracker_stage, StatsStage stats_stage,
            OptimizerStage optimizer);
 
+  /// Enqueues the batch into the one queue (drops when full).
+  int64_t Admit(std::vector<ModelUpdate>* updates) override;
   /// Services the queue and applies the served updates (driver lane).
   void ServeTick(double dt) override;
   QueueWindow TakeQueueWindow() override;

@@ -7,12 +7,9 @@ namespace lira {
 
 IngestStage::IngestStage(const IngestStageConfig& config, UpdateQueue queue)
     : queue_(std::move(queue)),
-      service_rate_(config.service_rate),
-      emit_events_(config.emit_events),
-      telemetry_(config.telemetry),
-      dropped_event_name_(config.metric_prefix + ".queue.dropped") {
-  if (telemetry_ != nullptr) {
-    telemetry::MetricRegistry& metrics = telemetry_->metrics();
+      service_rate_(config.service_rate) {
+  if (config.telemetry != nullptr) {
+    telemetry::MetricRegistry& metrics = config.telemetry->metrics();
     const std::string& prefix = config.metric_prefix;
     arrivals_counter_ = metrics.GetCounter(prefix + ".queue.arrivals");
     dropped_counter_ = metrics.GetCounter(prefix + ".queue.dropped");
@@ -32,21 +29,15 @@ StatusOr<IngestStage> IngestStage::Create(const IngestStageConfig& config) {
   return IngestStage(config, *std::move(queue));
 }
 
-int64_t IngestStage::Receive(std::vector<ModelUpdate>* updates, double now) {
+int64_t IngestStage::Receive(std::vector<ModelUpdate>* updates) {
   const auto arrived = static_cast<int64_t>(updates->size());
   const int64_t dropped = queue_.OfferAll(updates);
-  if (telemetry_ != nullptr) {
+  if (arrivals_counter_ != nullptr) {
     arrivals_counter_->Increment(arrived);
     depth_gauge_->Set(static_cast<double>(queue_.size()));
     high_watermark_gauge_->Set(static_cast<double>(queue_.high_watermark()));
     if (dropped > 0) {
       dropped_counter_->Increment(dropped);
-      if (emit_events_) {
-        telemetry_->Emit(telemetry::EventKind::kQueueOverflow,
-                         dropped_event_name_, now,
-                         static_cast<double>(dropped),
-                         static_cast<double>(queue_.size()));
-      }
     }
   }
   return dropped;

@@ -3,8 +3,11 @@
 // Owns the UpdateQueue (random-order admission, drop accounting, windowed
 // rate measurement for THROTLOOP) plus the fractional service credit that
 // converts a continuous service rate into whole updates per tick. The stage
-// also owns the `<prefix>.queue.*` instruments so shards of a ServerCluster
-// report under their own `lira.shard<k>` namespace.
+// also owns the `<prefix>.queue.*` counters and gauges so shards of a
+// ServerCluster report under their own `lira.shard<k>` namespace. It emits
+// no events: Receive returns the drop count and the owning ServerPipeline
+// emits the one overflow event per batch (cluster shards admit
+// concurrently, and EventSink implementations are single-threaded).
 
 #ifndef LIRA_SERVER_INGEST_STAGE_H_
 #define LIRA_SERVER_INGEST_STAGE_H_
@@ -30,10 +33,6 @@ struct IngestStageConfig {
   /// Instrument namespace: "<metric_prefix>.queue.*". The facade server
   /// uses "lira"; cluster shard k uses "lira.shard<k>".
   std::string metric_prefix = "lira";
-  /// When false the stage never emits kQueueOverflow events, only counter /
-  /// gauge updates. Cluster shards run Receive concurrently and EventSink
-  /// implementations are single-threaded, while Counter/Gauge are atomics.
-  bool emit_events = true;
   /// Optional telemetry (not owned; must outlive the stage).
   telemetry::TelemetrySink* telemetry = nullptr;
 };
@@ -46,7 +45,7 @@ class IngestStage {
 
   /// Admits one tick's batch, consuming `*updates` in place (shuffled,
   /// elements moved from). Returns how many were dropped.
-  int64_t Receive(std::vector<ModelUpdate>* updates, double now);
+  int64_t Receive(std::vector<ModelUpdate>* updates);
 
   /// Advances the service clock by dt seconds and dequeues the updates the
   /// service rate affords (FIFO order; fractional capacity carries over).
@@ -64,16 +63,12 @@ class IngestStage {
   UpdateQueue queue_;
   double service_rate_;
   double service_credit_ = 0.0;
-  bool emit_events_;
-  telemetry::TelemetrySink* telemetry_;
   /// Instruments resolved once at construction (registry lookups are map
   /// accesses; Receive runs every tick). Null when telemetry is off.
   telemetry::Counter* arrivals_counter_ = nullptr;
   telemetry::Counter* dropped_counter_ = nullptr;
   telemetry::Gauge* depth_gauge_ = nullptr;
   telemetry::Gauge* high_watermark_gauge_ = nullptr;
-  /// Owned storage for the overflow event name (Emit takes a view).
-  std::string dropped_event_name_;
 };
 
 }  // namespace lira

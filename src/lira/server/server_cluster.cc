@@ -60,7 +60,6 @@ ServerCluster::ServerCluster(const ServerClusterConfig& config,
           metrics.GetGauge(ShardPrefix(k) + ".stats.nodes"));
     }
   }
-  RebuildSubQueries();
 }
 
 StatusOr<std::unique_ptr<ServerCluster>> ServerCluster::Create(
@@ -105,10 +104,6 @@ StatusOr<std::unique_ptr<ServerCluster>> ServerCluster::Create(
     ingest_config.service_rate = shard_rate;
     ingest_config.seed = seed;
     ingest_config.metric_prefix = prefix;
-    // Shard Receive/rebuild sections run concurrently; EventSink
-    // implementations are single-threaded, so shards touch only atomic
-    // counters/gauges and the coordinator emits the (serial) events.
-    ingest_config.emit_events = false;
     ingest_config.telemetry = server.telemetry;
     auto ingest = IngestStage::Create(ingest_config);
     if (!ingest.ok()) {
@@ -145,7 +140,7 @@ StatusOr<std::unique_ptr<ServerCluster>> ServerCluster::Create(
   if (!merged.ok()) {
     return merged.status();
   }
-  merged->RebuildQueries(*queries, QueryMargin(server, *reduction));
+  merged->RebuildQueries(*queries, QueryMargin(*reduction));
 
   auto optimizer = OptimizerStage::Create(ServerOptimizerConfig(server),
                                           server.world,
@@ -164,23 +159,13 @@ StatusOr<std::unique_ptr<ServerCluster>> ServerCluster::Create(
 }
 
 Rect ServerCluster::ExpandedStrip(int32_t shard) const {
-  const double margin = QueryMargin(config_, *reduction_);
+  const double margin = QueryMargin(*reduction_);
   const Rect strip = shard_map_.ShardRect(shard);
   return Rect{strip.min_x - margin, strip.min_y - margin,
               strip.max_x + margin, strip.max_y + margin};
 }
 
-void ServerCluster::RebuildSubQueries() {
-  std::vector<Rect> strips;
-  strips.reserve(static_cast<size_t>(num_shards()));
-  for (int32_t k = 0; k < num_shards(); ++k) {
-    strips.push_back(shard_map_.ShardRect(k));
-  }
-  sub_queries_.Build(*queries_, strips, QueryMargin(config_, *reduction_));
-}
-
-void ServerCluster::ReceiveBatch(std::vector<ModelUpdate>* updates) {
-  RejectMalformed(updates);
+int64_t ServerCluster::Admit(std::vector<ModelUpdate>* updates) {
   const auto arrived = static_cast<int64_t>(updates->size());
   telemetry::TraceRecorder* tr = config_.trace;
   // Route serially in batch order (stable: each shard sees its updates in
@@ -213,23 +198,20 @@ void ServerCluster::ReceiveBatch(std::vector<ModelUpdate>* updates) {
                   : nullptr,
               "ingest.receive", tick_, shard_id, time_);
           span.set_value(static_cast<double>(shard.route.size()));
-          shard.last_dropped = shard.ingest.Receive(&shard.route, time_);
+          shard.last_dropped = shard.ingest.Receive(&shard.route);
         }
       });
+  int64_t dropped = 0;
+  for (const Shard& shard : shards_) {
+    dropped += shard.last_dropped;
+  }
   if (config_.telemetry != nullptr) {
-    int64_t dropped = 0;
-    for (const Shard& shard : shards_) {
-      dropped += shard.last_dropped;
-    }
     arrivals_counter_->Increment(arrived);
     if (dropped > 0) {
       dropped_counter_->Increment(dropped);
-      config_.telemetry->Emit(telemetry::EventKind::kQueueOverflow,
-                              "lira.queue.dropped", time_,
-                              static_cast<double>(dropped),
-                              static_cast<double>(queue_size()));
     }
   }
+  return dropped;
 }
 
 void ServerCluster::ServeTick(double dt) {
@@ -422,7 +404,6 @@ void ServerCluster::MaybeRebalance() {
   const int64_t migrated = MigrateOwnership();
   ++rebalances_;
   nodes_migrated_ += migrated;
-  RebuildSubQueries();
   if (config_.telemetry != nullptr) {
     rebalance_epochs_counter_->Increment(1);
     rebalance_columns_counter_->Increment(moved);
@@ -567,7 +548,7 @@ int64_t ServerCluster::updates_applied() const {
 }
 
 bool ServerCluster::ClipIsExact(int32_t shard, const Rect& bounds) const {
-  // The clipped sub-query is exact iff every believed position the shard's
+  // The clipped range is exact iff every believed position the shard's
   // tree can report lies inside the margin-expanded strip: min edges may
   // touch (Rect::Contains is closed below), max edges must stay strictly
   // inside (a position exactly on the expanded strip's half-open max edge
@@ -602,6 +583,38 @@ Status ServerCluster::AppendShardRange(
   return OkStatus();
 }
 
+std::vector<NodeId> MergeSortedUnion(
+    const std::vector<std::vector<NodeId>>& lists) {
+  std::vector<NodeId> merged;
+  for (const std::vector<NodeId>& list : lists) {
+    if (list.empty()) {
+      continue;
+    }
+    if (merged.empty()) {
+      merged = list;
+      continue;
+    }
+    std::vector<NodeId> next;
+    next.reserve(merged.size() + list.size());
+    size_t i = 0, j = 0;
+    while (i < merged.size() && j < list.size()) {
+      if (merged[i] < list[j]) {
+        next.push_back(merged[i++]);
+      } else if (list[j] < merged[i]) {
+        next.push_back(list[j++]);
+      } else {
+        next.push_back(merged[i]);
+        ++i;
+        ++j;
+      }
+    }
+    next.insert(next.end(), merged.begin() + i, merged.end());
+    next.insert(next.end(), list.begin() + j, list.end());
+    merged = std::move(next);
+  }
+  return merged;
+}
+
 StatusOr<std::vector<NodeId>> ServerCluster::AnswerRange(const Rect& range,
                                                          double t) const {
   LIRA_RETURN_IF_ERROR(CheckSnapshotQuery(t));
@@ -619,37 +632,6 @@ StatusOr<std::vector<NodeId>> ServerCluster::AnswerRange(const Rect& range,
         continue;  // all of k's nodes are inside the strip, away from range
       }
       eval = range.Intersection(expanded);
-    }
-    LIRA_RETURN_IF_ERROR(AppendShardRange(k, eval, t, &lists));
-  }
-  return MergeSortedUnion(lists);
-}
-
-StatusOr<std::vector<NodeId>> ServerCluster::AnswerQuery(
-    QueryId query) const {
-  LIRA_RETURN_IF_ERROR(CheckSnapshotQuery(time_));
-  if (query < 0 || query >= queries_->size()) {
-    return InvalidArgumentError("unknown query id: " +
-                                std::to_string(query));
-  }
-  const Rect& range = queries_->Get(query).range;
-  const double t = time_;
-  std::vector<std::vector<NodeId>> lists;
-  lists.reserve(static_cast<size_t>(num_shards()));
-  for (int32_t k = 0; k < num_shards(); ++k) {
-    const auto bounds = shards_[k].tracker.BoundsAt(t);
-    if (!bounds.has_value() || !range.IntersectsClosed(*bounds)) {
-      continue;
-    }
-    Rect eval = range;
-    if (ClipIsExact(k, *bounds)) {
-      // Shard-local evaluation through the installed sub-query: when the
-      // query is not installed here, no in-strip node can match.
-      const ShardSubQuery* sub = sub_queries_.Find(k, query);
-      if (sub == nullptr) {
-        continue;
-      }
-      eval = sub->clipped;
     }
     LIRA_RETURN_IF_ERROR(AppendShardRange(k, eval, t, &lists));
   }

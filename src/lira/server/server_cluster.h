@@ -43,7 +43,6 @@
 #include "lira/core/shedding_plan.h"
 #include "lira/core/statistics_grid.h"
 #include "lira/cq/query_registry.h"
-#include "lira/cq/sharded_queries.h"
 #include "lira/mobility/position.h"
 #include "lira/motion/linear_model.h"
 #include "lira/motion/update_reduction.h"
@@ -99,10 +98,6 @@ class ServerCluster : public ServerPipeline {
   ServerCluster(const ServerCluster&) = delete;
   ServerCluster& operator=(const ServerCluster&) = delete;
 
-  /// Routes each update to its strip's shard, then admits per shard in
-  /// parallel.
-  void ReceiveBatch(std::vector<ModelUpdate>* updates) override;
-
   std::optional<Point> BelievedPositionAt(NodeId id,
                                           double t) const override;
   size_t queue_size() const override;
@@ -117,20 +112,17 @@ class ServerCluster : public ServerPipeline {
 
   /// Ad-hoc snapshot range query at t >= now, evaluated shard-locally:
   /// each overlapped shard searches its own TPR-tree with the range clipped
-  /// to its margin-expanded strip (falling back to the full range when its
-  /// tree's bounding box has drifted outside the strip -- exactness guard,
-  /// DESIGN.md §12), and the per-shard id-sorted membership lists are
-  /// unioned by sorted merge. Requires maintain_index. Results are filtered
-  /// by current ownership so every id appears exactly once, and are bitwise
-  /// identical to the unsharded CqServer's answer on the same belief state.
+  /// to its current margin-expanded strip (falling back to the full range
+  /// when its tree's bounding box has drifted outside the strip --
+  /// exactness guard, DESIGN.md §12), and the per-shard id-sorted
+  /// membership lists are unioned by sorted merge. The clip is computed
+  /// here, at answer time, so registered queries (AnswerQuery) and ad-hoc
+  /// ranges always see the current strips and registry. Requires
+  /// maintain_index. Results are filtered by current ownership so every id
+  /// appears exactly once, in ascending order, and equal the unsharded
+  /// CqServer's answer on the same belief state as a set.
   StatusOr<std::vector<NodeId>> AnswerRange(const Rect& range,
-                                            double t) const;
-
-  /// Evaluates a *registered* query (by id) at the current time through its
-  /// installed shard-local sub-queries (the clipped rects precomputed at
-  /// registration / rebalance). Same result contract as AnswerRange on the
-  /// query's range.
-  StatusOr<std::vector<NodeId>> AnswerQuery(QueryId query) const;
+                                            double t) const override;
 
   /// Point-in-time cluster health: per-shard occupancy / queue state plus
   /// load-skew statistics (max/mean owned nodes and their imbalance ratio).
@@ -146,8 +138,6 @@ class ServerCluster : public ServerPipeline {
   int64_t map_epoch() const { return shard_map_.epoch(); }
   int64_t rebalances() const { return rebalances_; }
   int64_t nodes_migrated() const { return nodes_migrated_; }
-  /// The installed shard-local sub-queries, for tests and diagnostics.
-  const ShardedQueryTable& sub_queries() const { return sub_queries_; }
   /// One shard's own grid / queue, for tests and diagnostics.
   const StatisticsGrid& shard_stats(int32_t shard) const {
     return shards_[shard].stats.grid();
@@ -181,6 +171,9 @@ class ServerCluster : public ServerPipeline {
                 std::vector<Shard> shards, StatsStage merged_stats,
                 OptimizerStage optimizer, int32_t pool_threads);
 
+  /// Routes each update to its strip's shard, then admits per shard in
+  /// parallel; returns the drops summed over shards.
+  int64_t Admit(std::vector<ModelUpdate>* updates) override;
   /// Services and applies per shard in parallel, then settles ownership.
   void ServeTick(double dt) override;
   QueueWindow TakeQueueWindow() override;
@@ -189,29 +182,24 @@ class ServerCluster : public ServerPipeline {
   Status RebuildNodeStats() override;
   /// The rebalance step of every R-th adaptation (MaybeRebalance).
   void PrepareAdaptation() override;
-  void OnQueriesInstalled() override { RebuildSubQueries(); }
   /// Per-shard samples, serially in shard order (so ring contents are
   /// deterministic), ahead of the coordinator sample.
   void RecordShardFlightSamples(telemetry::FlightRecorder* recorder) override;
 
   /// Shard k's strip expanded by the query margin on every side.
   Rect ExpandedStrip(int32_t shard) const;
-  /// Reinstalls every registered query as per-shard clipped sub-queries
-  /// against the current strip boundaries (called on registry change and
-  /// after every rebalance epoch).
-  void RebuildSubQueries();
   /// Appends `shard`'s sorted membership list for the search rect `eval`
   /// (the full query range or its strip clip) at time t.
   Status AppendShardRange(int32_t shard, const Rect& eval, double t,
                           std::vector<std::vector<NodeId>>* lists) const;
   /// True when every node indexed at `shard` provably lies inside its
-  /// margin-expanded strip at time t, i.e. the clipped sub-query is exact.
+  /// margin-expanded strip at time t, i.e. the clipped range is exact.
   /// `bounds` is the shard tree's root box at t.
   bool ClipIsExact(int32_t shard, const Rect& bounds) const;
   /// The deterministic rebalance step (start of every R-th adaptation):
   /// re-splits the map from the merged grid's column occupancy, migrates
   /// ownership through the Forget/Adopt handoff path in ascending node
-  /// order, reinstalls sub-queries, and records flight/telemetry.
+  /// order, and records flight/telemetry.
   void MaybeRebalance();
   /// Moves every owned node whose origin column changed shards; returns the
   /// migration count.
@@ -238,9 +226,6 @@ class ServerCluster : public ServerPipeline {
   /// Cumulative rebalance accounting.
   int64_t rebalances_ = 0;
   int64_t nodes_migrated_ = 0;
-  /// Registered queries clipped per shard, aligned with the current map
-  /// epoch and registry.
-  ShardedQueryTable sub_queries_;
   /// Cluster-level instruments (sums over shards), resolved once.
   telemetry::Counter* arrivals_counter_ = nullptr;
   telemetry::Counter* dropped_counter_ = nullptr;
@@ -250,6 +235,13 @@ class ServerCluster : public ServerPipeline {
   /// Per-shard node-count gauges, set after each adaptation's rebuild.
   std::vector<telemetry::Gauge*> shard_nodes_gauges_;
 };
+
+/// Sorted-set union of per-shard membership lists: each input must be
+/// ascending and duplicate-free; inputs may share ids only when shards
+/// disagree about ownership transiently (the merge deduplicates). K-way
+/// merge by repeated two-way passes -- K is the shard count, tiny.
+std::vector<NodeId> MergeSortedUnion(
+    const std::vector<std::vector<NodeId>>& lists);
 
 }  // namespace lira
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 
 namespace lira {
@@ -32,10 +33,8 @@ Status ValidateServerConfig(const CqServerConfig& config,
   return OkStatus();
 }
 
-double QueryMargin(const CqServerConfig& config,
-                   const UpdateReductionFunction& reduction) {
-  return config.query_margin >= 0.0 ? config.query_margin
-                                    : reduction.delta_max();
+double QueryMargin(const UpdateReductionFunction& reduction) {
+  return reduction.delta_max();
 }
 
 StatsStageConfig ServerStatsConfig(const CqServerConfig& config,
@@ -81,8 +80,18 @@ Status ServerPipeline::InstallQueries(const QueryRegistry* queries) {
   }
   queries_ = queries;
   stats_.InvalidateQueryCache();
-  OnQueriesInstalled();
   return OkStatus();
+}
+
+void ServerPipeline::ReceiveBatch(std::vector<ModelUpdate>* updates) {
+  RejectMalformed(updates);
+  const int64_t dropped = Admit(updates);
+  if (config_.telemetry != nullptr && dropped > 0) {
+    config_.telemetry->Emit(telemetry::EventKind::kQueueOverflow,
+                            "lira.queue.dropped", time_,
+                            static_cast<double>(dropped),
+                            static_cast<double>(queue_size()));
+  }
 }
 
 void ServerPipeline::RejectMalformed(std::vector<ModelUpdate>* updates) {
@@ -177,7 +186,7 @@ Status ServerPipeline::Adapt() {
                                        time_);
     telemetry::ScopedSpan query_span(tr, lane, "stats.query_rebuild", tick_,
                                      -1, time_);
-    stats_.RebuildQueries(*queries_, QueryMargin(config_, *reduction_));
+    stats_.RebuildQueries(*queries_, QueryMargin(*reduction_));
   }
   Status built;
   {
@@ -204,6 +213,15 @@ Status ServerPipeline::CheckSnapshotQuery(double t) const {
         "historical queries");
   }
   return OkStatus();
+}
+
+StatusOr<std::vector<NodeId>> ServerPipeline::AnswerQuery(
+    QueryId query) const {
+  LIRA_RETURN_IF_ERROR(CheckSnapshotQuery(time_));
+  if (query < 0 || query >= queries_->size()) {
+    return InvalidArgumentError("unknown query id: " + std::to_string(query));
+  }
+  return AnswerRange(queries_->Get(query).range, time_);
 }
 
 StatusOr<std::vector<NodeId>> ServerPipeline::AnswerHistoricalRange(

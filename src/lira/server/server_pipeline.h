@@ -9,10 +9,12 @@
 // the clock and tick count, the adaptation schedule, the global statistics
 // stage, the optimizer, the adaptation sequence (THROTLOOP -> node
 // statistics -> query counts -> plan build -> broadcast), the
-// coordinator flight sample and the update validation -- and the derived
-// classes supply only the per-tick service, the queue-window sum and the
-// node statistics rebuild (the protected hooks below). Because the
-// sequence exists once, an S=1 cluster equals a CqServer by construction.
+// coordinator flight sample, the update validation, the overflow event and
+// query answering by id -- and the derived classes supply only admission,
+// the per-tick service, the queue-window sum, the node statistics rebuild
+// (the protected hooks below) and the snapshot range search
+// (AnswerRange). Because the sequence exists once, an S=1 cluster equals a
+// CqServer by construction.
 //
 // The contract every implementation honors is the repo's determinism rule:
 // given the same seed and the same input batches, the observable state
@@ -58,12 +60,8 @@ struct CqServerConfig {
   /// When true, z comes from THROTLOOP; otherwise fixed_z is used.
   bool auto_throttle = false;
   double fixed_z = 0.5;
-  /// Margin (meters) added around query rectangles when counting them into
-  /// the statistics grid; negative means "use the reduction function's
-  /// delta_max" (see StatisticsGrid::AddQueries).
-  double query_margin = -1.0;
   /// When true the server maintains a TPR-tree over the tracked motion
-  /// models and can answer range queries incrementally (AnswerQuery);
+  /// models and can answer range queries (AnswerQuery, AnswerRange);
   /// turning it off saves the index-maintenance cost for deployments that
   /// evaluate queries elsewhere.
   bool maintain_index = true;
@@ -118,10 +116,10 @@ Status ValidateServerConfig(const CqServerConfig& config,
                             const UpdateReductionFunction* reduction,
                             const QueryRegistry* queries);
 
-/// Query margin in force: the explicit config value, or the reduction's
-/// delta_max when it is negative.
-double QueryMargin(const CqServerConfig& config,
-                   const UpdateReductionFunction& reduction);
+/// Margin (meters) added around query rectangles when counting them into
+/// the statistics grid and when clipping them to a shard's strip: the
+/// reduction's delta_max, the largest inaccuracy a shed update can leave.
+double QueryMargin(const UpdateReductionFunction& reduction);
 
 /// The statistics stage and optimizer configs a server (or a cluster's
 /// shards and coordinator) derive from its CqServerConfig. `seed` is the
@@ -145,8 +143,10 @@ class ServerPipeline {
   /// Admits one tick's batch of position updates, consuming `*updates` in
   /// place (shuffled, elements moved from) so the caller can clear and
   /// reuse the buffer's capacity across ticks. Malformed updates are
-  /// rejected first (RejectMalformed).
-  virtual void ReceiveBatch(std::vector<ModelUpdate>* updates) = 0;
+  /// rejected first (RejectMalformed), the rest go to the queue(s)
+  /// (Admit), and a batch that overflowed emits one kQueueOverflow event
+  /// (value = updates dropped, extra = queue_size() afterwards).
+  void ReceiveBatch(std::vector<ModelUpdate>* updates);
 
   /// As ReceiveBatch with an owned batch.
   void Receive(std::vector<ModelUpdate> updates) { ReceiveBatch(&updates); }
@@ -161,6 +161,16 @@ class ServerPipeline {
   /// statistics, the query counts on the global statistics stage, the plan
   /// build, and the `plan.broadcast` instant.
   Status Adapt();
+
+  /// Answers an installed continual query at the current time: the
+  /// snapshot precondition (CheckSnapshotQuery), then AnswerRange over the
+  /// query's range. Requires maintain_index.
+  StatusOr<std::vector<NodeId>> AnswerQuery(QueryId query) const;
+
+  /// Ad-hoc snapshot range query at time t >= now: the ids whose believed
+  /// position at t lies in `range`. Requires maintain_index.
+  virtual StatusOr<std::vector<NodeId>> AnswerRange(const Rect& range,
+                                                    double t) const = 0;
 
   /// Historical snapshot range query at a past time t. Requires
   /// record_history.
@@ -253,9 +263,9 @@ class ServerPipeline {
 
   /// Removes every update whose id lies outside [0, num_nodes) or whose
   /// origin, velocity or t0 is not finite, keeping the order of the rest,
-  /// and counts the rejections per reason. ReceiveBatch implementations
-  /// call this before anything else, so no stage (and no shard routing)
-  /// ever sees a malformed update.
+  /// and counts the rejections per reason. ReceiveBatch calls this before
+  /// Admit, so no stage (and no shard routing) ever sees a malformed
+  /// update.
   void RejectMalformed(std::vector<ModelUpdate>* updates);
 
   /// Precondition of snapshot range answering at time t: the index is
@@ -269,6 +279,9 @@ class ServerPipeline {
                : nullptr;
   }
 
+  /// Admits a well-formed batch into the queue(s), consuming `*updates`;
+  /// returns how many updates the full queue(s) dropped.
+  virtual int64_t Admit(std::vector<ModelUpdate>* updates) = 0;
   /// Per-tick work after the clock advanced: service the queue(s), apply
   /// the served updates, and settle ownership.
   virtual void ServeTick(double dt) = 0;
@@ -278,8 +291,6 @@ class ServerPipeline {
   virtual Status RebuildNodeStats() = 0;
   /// First step of every adaptation (the cluster's rebalance step).
   virtual void PrepareAdaptation() {}
-  /// Called after InstallQueries swapped the registry.
-  virtual void OnQueriesInstalled() {}
   /// Appends per-shard flight samples ahead of the coordinator sample.
   virtual void RecordShardFlightSamples(
       telemetry::FlightRecorder* /*recorder*/) {}

@@ -55,8 +55,8 @@ class TrackerStage {
   /// Conservative bounding box of every indexed node's believed position at
   /// time t from the TPR-tree root (nullopt when the stage tracks no
   /// nodes). Requires maintain_index. Lets the cluster prove a shard's
-  /// whole population lies inside its strip before evaluating a clipped
-  /// sub-query (DESIGN.md §12).
+  /// whole population lies inside its strip before searching it with a
+  /// range clipped to that strip (DESIGN.md §12).
   std::optional<Rect> BoundsAt(double t) const { return index_.BoundsAt(t); }
 
   /// Ids whose believed position at time t lies in `range`, from the

@@ -61,15 +61,16 @@ TEST(StatisticsGridTest, AddNodeAccumulatesCountAndSpeed) {
 
 TEST(StatisticsGridTest, RemoveNodeIsInverseOfAdd) {
   StatisticsGrid grid = MakeGrid();
+  const int32_t cell = grid.CellIndexOf({50.0, 50.0});
   grid.AddNode({50.0, 50.0}, 10.0);
   grid.AddNode({50.0, 50.0}, 30.0);
-  grid.RemoveNode({50.0, 50.0}, 10.0);
+  grid.RemoveNodeQAt(cell, StatisticsGrid::QuantizeSpeed(10.0));
   EXPECT_DOUBLE_EQ(grid.NodeCount(0, 0), 1.0);
   EXPECT_DOUBLE_EQ(grid.MeanSpeed(0, 0), 30.0);
-  grid.RemoveNode({50.0, 50.0}, 30.0);
+  grid.RemoveNodeQAt(cell, StatisticsGrid::QuantizeSpeed(30.0));
   EXPECT_DOUBLE_EQ(grid.NodeCount(0, 0), 0.0);
   // Extra removals clamp at zero rather than going negative.
-  grid.RemoveNode({50.0, 50.0}, 5.0);
+  grid.RemoveNodeQAt(cell, StatisticsGrid::QuantizeSpeed(5.0));
   EXPECT_DOUBLE_EQ(grid.NodeCount(0, 0), 0.0);
 }
 
@@ -196,7 +197,7 @@ TEST(StatisticsGridTest, CellStatsBundlesAccessors) {
   EXPECT_DOUBLE_EQ(stats.m, 0.0);
 }
 
-TEST(StatisticsGridTest, AddNodeAtMatchesAddNode) {
+TEST(StatisticsGridTest, AddNodeQAtMatchesAddNode) {
   StatisticsGrid by_point = MakeGrid();
   StatisticsGrid by_cell = MakeGrid();
   Rng rng(99);
@@ -204,7 +205,8 @@ TEST(StatisticsGridTest, AddNodeAtMatchesAddNode) {
     const Point p{rng.Uniform(0.0, 800.0), rng.Uniform(0.0, 800.0)};
     const double speed = rng.Uniform(0.0, 40.0);
     by_point.AddNode(p, speed);
-    by_cell.AddNodeAt(by_cell.CellIndexOf(p), speed);
+    by_cell.AddNodeQAt(by_cell.CellIndexOf(p),
+                       StatisticsGrid::QuantizeSpeed(speed));
   }
   for (int32_t iy = 0; iy < 8; ++iy) {
     for (int32_t ix = 0; ix < 8; ++ix) {
@@ -230,7 +232,8 @@ TEST(StatisticsGridTest, IncrementalMaintenanceIsBitwiseEqualToRebuild) {
   for (int step = 0; step < 3000; ++step) {
     const auto id = static_cast<int32_t>(rng.UniformInt(kNodes));
     if (present[id]) {
-      live.RemoveNode(positions[id], speeds[id]);
+      live.RemoveNodeQAt(live.CellIndexOf(positions[id]),
+                         StatisticsGrid::QuantizeSpeed(speeds[id]));
       present[id] = false;
     }
     if (rng.Uniform(0.0, 1.0) < 0.85) {
@@ -261,7 +264,8 @@ TEST(StatisticsGridTest, TotalsStayConsistentWithCellSums) {
   grid.AddNode({10.0, 10.0}, 5.0);
   grid.AddNode({700.0, 700.0}, 15.0);
   // Unmatched removal clamps at zero without corrupting the running totals.
-  grid.RemoveNode({400.0, 400.0}, 99.0);
+  grid.RemoveNodeQAt(grid.CellIndexOf({400.0, 400.0}),
+                     StatisticsGrid::QuantizeSpeed(99.0));
   double cell_nodes = 0.0;
   double cell_speed_dot = 0.0;
   for (int32_t iy = 0; iy < 8; ++iy) {
@@ -364,22 +368,6 @@ TEST(StatisticsGridTest, MergeRejectsMismatchedGrids) {
   auto other_world = StatisticsGrid::Create(Rect{0, 0, 400, 800}, 8);
   ASSERT_TRUE(other_world.ok());
   EXPECT_FALSE(grid.Merge(*other_world).ok());
-}
-
-TEST(StatisticsGridTest, QAtVariantsMatchDoubleSpeedVariants) {
-  StatisticsGrid a = MakeGrid();
-  StatisticsGrid b = MakeGrid();
-  const double speed = 13.377;
-  const int64_t q = StatisticsGrid::QuantizeSpeed(speed);
-  a.AddNodeAt(3, speed);
-  b.AddNodeQAt(3, q);
-  EXPECT_EQ(a.NodeCount(3, 0), b.NodeCount(3, 0));
-  EXPECT_EQ(a.MeanSpeed(3, 0), b.MeanSpeed(3, 0));
-  a.RemoveNodeAt(3, speed);
-  b.RemoveNodeQAt(3, q);
-  EXPECT_EQ(a.NodeCount(3, 0), 0.0);
-  EXPECT_EQ(b.NodeCount(3, 0), 0.0);
-  EXPECT_EQ(a.TotalNodes(), b.TotalNodes());
 }
 
 TEST(StatisticsGridTest, ApplyNodeDeltaMatchesDirectPairsAnyOrder) {
@@ -520,10 +508,10 @@ TEST(StatisticsGridTest, DirtySetRecordsCellMutatorsAndBulkOperations) {
   // Each per-cell mutator records its cell once, in first-touch order.
   const int64_t q = StatisticsGrid::QuantizeSpeed(9.0);
   grid->AddNodeQAt(7, q);
-  grid->AddNodeAt(4095, 9.0);
+  grid->AddNodeQAt(4095, q);
   grid->RemoveNodeQAt(7, q);
   grid->ApplyNodeDelta(100, 1, q);
-  grid->RemoveNodeAt(100, 9.0);
+  grid->RemoveNodeQAt(100, q);
   grid->AddNode({5.0, 5.0}, 9.0);  // cell 0
   EXPECT_EQ(grid->dirty_cells(), (std::vector<int32_t>{7, 4095, 100, 0}));
   grid->ClearDirty();

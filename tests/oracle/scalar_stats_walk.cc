@@ -59,11 +59,11 @@ int64_t ScalarStatsWalk::Relocate(const PositionTracker& tracker, NodeId id,
   }
   int64_t dirtied = 0;
   if (old_cell >= 0) {
-    grid_.RemoveNodeAt(old_cell, speed_of_[id]);
+    grid_.RemoveNodeQAt(old_cell, StatisticsGrid::QuantizeSpeed(speed_of_[id]));
     ++dirtied;
   }
   if (new_cell >= 0) {
-    grid_.AddNodeAt(new_cell, new_speed);
+    grid_.AddNodeQAt(new_cell, StatisticsGrid::QuantizeSpeed(new_speed));
     if (new_cell != old_cell) {
       ++dirtied;
     }
@@ -75,7 +75,8 @@ int64_t ScalarStatsWalk::Relocate(const PositionTracker& tracker, NodeId id,
 
 void ScalarStatsWalk::Forget(NodeId id) {
   if (cell_of_[id] >= 0) {
-    grid_.RemoveNodeAt(cell_of_[id], speed_of_[id]);
+    grid_.RemoveNodeQAt(cell_of_[id],
+                        StatisticsGrid::QuantizeSpeed(speed_of_[id]));
     cell_of_[id] = -1;
     speed_of_[id] = 0.0;
   }

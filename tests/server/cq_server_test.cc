@@ -130,6 +130,34 @@ TEST_F(CqServerTest, QueueOverflowDrops) {
   EXPECT_EQ(server->queue().total_dropped(), 15);
 }
 
+TEST_F(CqServerTest, OverflowEventCarriesDropCountAndDepth) {
+  // A batch that overflows the queue emits exactly one kQueueOverflow event
+  // after admission: value = updates dropped, extra = queue depth.
+  telemetry::MemoryEventSink events;
+  telemetry::TelemetrySink sink(&events);
+  auto config = BaseConfig();
+  config.queue_capacity = 4;
+  config.telemetry = &sink;
+  auto server =
+      CqServer::Create(config, &uniform_policy_, &*reduction_, &queries_);
+  ASSERT_TRUE(server.ok());
+  std::vector<ModelUpdate> batch;
+  for (NodeId id = 0; id < 9; ++id) {
+    batch.push_back(UpdateFor(id, {10.0, 10.0}, {0.0, 0.0}, 0.0));
+  }
+  server->Receive(std::move(batch));
+  auto overflows = events.Select(telemetry::EventKind::kQueueOverflow);
+  ASSERT_EQ(overflows.size(), 1u);
+  EXPECT_EQ(overflows[0].name, "lira.queue.dropped");
+  EXPECT_DOUBLE_EQ(overflows[0].time, 0.0);
+  EXPECT_DOUBLE_EQ(overflows[0].value, 5.0);
+  EXPECT_DOUBLE_EQ(overflows[0].extra, 4.0);
+  // A batch that fits emits nothing.
+  ASSERT_TRUE(server->Tick(1.0).ok());
+  server->Receive({UpdateFor(0, {10.0, 10.0}, {0.0, 0.0}, 1.0)});
+  EXPECT_EQ(events.Select(telemetry::EventKind::kQueueOverflow).size(), 1u);
+}
+
 TEST_F(CqServerTest, AdaptationFiresOnPeriod) {
   auto config = BaseConfig();
   config.adaptation_period = 5.0;

@@ -40,7 +40,7 @@ TEST(IngestStageTest, ReceiveAdmitsUpToCapacityAndReportsDrops) {
   auto stage = IngestStage::Create(config);
   ASSERT_TRUE(stage.ok());
   auto batch = Batch(0, 20, 0.0);
-  EXPECT_EQ(stage->Receive(&batch, 0.0), 15);
+  EXPECT_EQ(stage->Receive(&batch), 15);
   EXPECT_EQ(stage->queue().size(), 5u);
   EXPECT_EQ(stage->queue().total_arrivals(), 20);
   EXPECT_EQ(stage->queue().total_dropped(), 15);
@@ -53,7 +53,7 @@ TEST(IngestStageTest, ServiceCreditCarriesFractionsAcrossTicks) {
   auto stage = IngestStage::Create(config);
   ASSERT_TRUE(stage.ok());
   auto batch = Batch(0, 10, 0.0);
-  stage->Receive(&batch, 0.0);
+  stage->Receive(&batch);
   // 2.5 upd/s: 2, then 3 (0.5 credit carried), then 2, ...
   EXPECT_EQ(stage->Service(1.0).size(), 2u);
   EXPECT_EQ(stage->Service(1.0).size(), 3u);
@@ -69,7 +69,7 @@ TEST(IngestStageTest, WindowResetSupportsThrotloopMeasurement) {
   auto stage = IngestStage::Create(config);
   ASSERT_TRUE(stage.ok());
   auto batch = Batch(0, 10, 0.0);
-  stage->Receive(&batch, 0.0);
+  stage->Receive(&batch);
   EXPECT_EQ(stage->queue().window_arrivals(), 10);
   EXPECT_EQ(stage->queue().window_dropped(), 2);
   stage->ResetWindow();
@@ -84,35 +84,19 @@ TEST(IngestStageTest, InstrumentsUseConfiguredPrefix) {
   IngestStageConfig config;
   config.queue_capacity = 4;
   config.metric_prefix = "lira.shard3";
-  config.emit_events = false;
   config.telemetry = &sink;
   auto stage = IngestStage::Create(config);
   ASSERT_TRUE(stage.ok());
   auto batch = Batch(0, 6, 1.0);
-  stage->Receive(&batch, 1.0);
+  stage->Receive(&batch);
   const telemetry::MetricRegistry& metrics = sink.metrics();
   EXPECT_EQ(metrics.FindCounter("lira.shard3.queue.arrivals")->value(), 6);
   EXPECT_EQ(metrics.FindCounter("lira.shard3.queue.dropped")->value(), 2);
   EXPECT_DOUBLE_EQ(metrics.FindGauge("lira.shard3.queue.depth")->value(),
                    4.0);
-  // emit_events = false: drops were counted but no overflow event fired.
+  // Drops are counted; the overflow event is the pipeline's to emit
+  // (ServerPipeline::ReceiveBatch), never the stage's.
   EXPECT_TRUE(events.Select(telemetry::EventKind::kQueueOverflow).empty());
-}
-
-TEST(IngestStageTest, OverflowEventCarriesDropCount) {
-  telemetry::MemoryEventSink events;
-  telemetry::TelemetrySink sink(&events);
-  IngestStageConfig config;
-  config.queue_capacity = 4;
-  config.telemetry = &sink;
-  auto stage = IngestStage::Create(config);
-  ASSERT_TRUE(stage.ok());
-  auto batch = Batch(0, 9, 2.0);
-  stage->Receive(&batch, 2.0);
-  const auto overflows = events.Select(telemetry::EventKind::kQueueOverflow);
-  ASSERT_EQ(overflows.size(), 1u);
-  EXPECT_DOUBLE_EQ(overflows[0].value, 5.0);
-  EXPECT_DOUBLE_EQ(overflows[0].extra, 4.0);
 }
 
 }  // namespace

@@ -158,7 +158,7 @@ TEST_F(RebalanceTest, BoundaryQueriesBitwiseMatchUnshardedAcrossEpochs) {
     }
 
     // Every installed (possibly boundary-straddling) query: identical
-    // membership through the clipped sub-query path.
+    // membership through AnswerQuery's strip-clipped shard searches.
     for (QueryId q = 0; q < active->size(); ++q) {
       auto expect = server->AnswerQuery(q);
       auto got = (*cluster)->AnswerQuery(q);

@@ -323,6 +323,95 @@ TEST_F(ServerClusterTest, SingleShardBitwiseMatchesCqServer) {
   }
 }
 
+TEST_F(ServerClusterTest, SingleShardOverflowEventsMatchCqServer) {
+  // Both servers emit the overflow event from the one ServerPipeline
+  // ReceiveBatch, so an overloaded S=1 cluster records the CqServer's
+  // kQueueOverflow sequence exactly: time, drops and queue depth.
+  telemetry::MemoryEventSink single_events;
+  telemetry::TelemetrySink single_sink(&single_events);
+  telemetry::MemoryEventSink cluster_events;
+  telemetry::TelemetrySink cluster_sink(&cluster_events);
+  CqServerConfig server_config = BaseServerConfig();
+  server_config.telemetry = &single_sink;
+  auto single = CqServer::Create(server_config, &uniform_policy_,
+                                 &*reduction_, &queries_);
+  ASSERT_TRUE(single.ok());
+  ServerClusterConfig cluster_config = ClusterConfig(1);
+  cluster_config.server.telemetry = &cluster_sink;
+  auto cluster = MustCreate(cluster_config);
+
+  Rng rng(7);
+  for (int t = 0; t < 20; ++t) {
+    std::vector<ModelUpdate> batch =
+        RandomBatch(rng, server_config.num_nodes, t);
+    single->Receive(batch);
+    cluster->Receive(std::move(batch));
+    ASSERT_TRUE(single->Tick(1.0).ok());
+    ASSERT_TRUE(cluster->Tick(1.0).ok());
+  }
+  const auto expect =
+      single_events.Select(telemetry::EventKind::kQueueOverflow);
+  const auto got = cluster_events.Select(telemetry::EventKind::kQueueOverflow);
+  ASSERT_GT(expect.size(), 5u);  // the run really overflowed, repeatedly
+  ASSERT_EQ(got.size(), expect.size());
+  for (size_t i = 0; i < expect.size(); ++i) {
+    EXPECT_EQ(got[i].name, expect[i].name) << "event " << i;
+    EXPECT_EQ(got[i].time, expect[i].time) << "event " << i;
+    EXPECT_EQ(got[i].value, expect[i].value) << "event " << i;
+    EXPECT_EQ(got[i].extra, expect[i].extra) << "event " << i;
+  }
+}
+
+TEST_F(ServerClusterTest, AnswerQuerySeesQueryAppendedAfterCreate) {
+  // The registry may grow in place while the servers run. A registered
+  // query appended after Create must be answered from the current registry
+  // and strips: the cluster's AnswerQuery, its AnswerRange on the same rect
+  // and the CqServer's answer agree, and are not empty.
+  for (int32_t shards : {1, 4}) {
+    QueryRegistry registry;
+    registry.Add(Rect{100, 100, 500, 500});
+    CqServerConfig server_config = BaseServerConfig();
+    server_config.queue_capacity = 1000;  // lossless
+    server_config.service_rate = 10000.0;
+    auto single = CqServer::Create(server_config, &uniform_policy_,
+                                   &*reduction_, &registry);
+    ASSERT_TRUE(single.ok());
+    ServerClusterConfig cluster_config = ClusterConfig(shards, 2);
+    cluster_config.server = server_config;
+    auto created = ServerCluster::Create(cluster_config, &uniform_policy_,
+                                         &*reduction_, &registry);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    std::unique_ptr<ServerCluster> cluster = *std::move(created);
+
+    // Even ids along y = 800, odd ids along y = 300, spread over every
+    // strip.
+    std::vector<ModelUpdate> batch;
+    for (NodeId id = 0; id < server_config.num_nodes; ++id) {
+      const double y = id % 2 == 0 ? 800.0 : 300.0;
+      batch.push_back(UpdateFor(id, {20.0 + 19.0 * id, y}, {1.0, 0.0}, 0.0));
+    }
+    single->Receive(batch);
+    cluster->Receive(std::move(batch));
+    ASSERT_TRUE(single->Tick(1.0).ok());
+    ASSERT_TRUE(cluster->Tick(1.0).ok());
+    ASSERT_EQ(cluster->queue_dropped(), 0);
+
+    const Rect appended{300, 700, 1100, 900};
+    const QueryId id = registry.Add(appended);
+    auto expect = single->AnswerQuery(id);
+    auto got = cluster->AnswerQuery(id);
+    auto range = cluster->AnswerRange(appended, cluster->time());
+    ASSERT_TRUE(expect.ok()) << expect.status().ToString();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(range.ok()) << range.status().ToString();
+    std::sort(expect->begin(), expect->end());
+    ASSERT_FALSE(expect->empty());
+    EXPECT_EQ(*got, *expect) << "S=" << shards;
+    EXPECT_EQ(*range, *expect) << "S=" << shards;
+    EXPECT_FALSE(cluster->AnswerQuery(id + 1).ok());
+  }
+}
+
 TEST_F(ServerClusterTest, ResultsIndependentOfThreadCount) {
   // Any shard count must produce bitwise identical results for any worker
   // pool width (routing, handoff, and merge are all shard-ordered).
@@ -536,6 +625,35 @@ TEST_F(ServerClusterTest, PerShardTelemetryAndSerialEvents) {
   ASSERT_FALSE(overflows.empty());
   for (const auto& event : overflows) {
     EXPECT_EQ(event.name, "lira.queue.dropped");
+  }
+}
+
+TEST(MergeSortedUnionTest, UnionsDisjointAndOverlappingLists) {
+  EXPECT_TRUE(MergeSortedUnion({}).empty());
+  EXPECT_TRUE(MergeSortedUnion({{}, {}}).empty());
+  EXPECT_EQ(MergeSortedUnion({{1, 4, 9}}), (std::vector<NodeId>{1, 4, 9}));
+  EXPECT_EQ(MergeSortedUnion({{1, 4, 9}, {2, 4, 10}, {}, {0, 9}}),
+            (std::vector<NodeId>{0, 1, 2, 4, 9, 10}));
+}
+
+TEST(MergeSortedUnionTest, RandomizedAgainstReference) {
+  Rng rng(77);
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<std::vector<NodeId>> lists(1 + trial % 6);
+    std::vector<NodeId> reference;
+    for (auto& list : lists) {
+      NodeId id = 0;
+      const int len = static_cast<int>(rng.Uniform(0.0, 30.0));
+      for (int i = 0; i < len; ++i) {
+        id += 1 + static_cast<NodeId>(rng.Uniform(0.0, 5.0));
+        list.push_back(id);
+        reference.push_back(id);
+      }
+    }
+    std::sort(reference.begin(), reference.end());
+    reference.erase(std::unique(reference.begin(), reference.end()),
+                    reference.end());
+    EXPECT_EQ(MergeSortedUnion(lists), reference);
   }
 }
 
