@@ -1,104 +1,16 @@
-#include "lira/cq/sharded_queries.h"
-
+// Tests for the merge step of a sharded query answer: each shard answers
+// the part of the range it owns, and the cluster unions the per-shard
+// ascending id lists into one answer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
 #include "lira/common/rng.h"
-#include "lira/cq/query_registry.h"
+#include "lira/server/server_cluster.h"
 
 namespace lira {
 namespace {
-
-std::vector<Rect> EvenStrips(const Rect& world, int32_t shards) {
-  std::vector<Rect> strips;
-  const double w = world.width() / shards;
-  for (int32_t k = 0; k < shards; ++k) {
-    strips.push_back(Rect{world.min_x + k * w, world.min_y,
-                          k + 1 == shards ? world.max_x
-                                          : world.min_x + (k + 1) * w,
-                          world.max_y});
-  }
-  return strips;
-}
-
-TEST(ShardedQueryTableTest, StraddlingQueryInstalledAtEveryOverlappedShard) {
-  const Rect world{0, 0, 1000, 1000};
-  QueryRegistry registry;
-  registry.Add(Rect{50, 50, 200, 200});    // inside strip 0
-  registry.Add(Rect{200, 0, 600, 1000});   // straddles strips 0..2
-  registry.Add(Rect{900, 400, 990, 500});  // inside strip 3
-  ShardedQueryTable table;
-  table.Build(registry, EvenStrips(world, 4), /*margin=*/0.0);
-  ASSERT_EQ(table.num_shards(), 4);
-  EXPECT_EQ(table.AtShard(0).size(), 2u);  // queries 0 and 1
-  EXPECT_EQ(table.AtShard(1).size(), 1u);  // query 1
-  EXPECT_EQ(table.AtShard(2).size(), 1u);  // query 1 (touches x=500..600)
-  EXPECT_EQ(table.AtShard(3).size(), 1u);  // query 2
-  EXPECT_EQ(table.TotalInstalled(), 5);
-
-  // The clip at each shard is the query ∩ strip.
-  const ShardSubQuery* at1 = table.Find(1, 1);
-  ASSERT_NE(at1, nullptr);
-  EXPECT_DOUBLE_EQ(at1->clipped.min_x, 250.0);
-  EXPECT_DOUBLE_EQ(at1->clipped.max_x, 500.0);
-  EXPECT_EQ(table.Find(1, 0), nullptr);
-  EXPECT_EQ(table.Find(3, 2)->id, 2);
-}
-
-TEST(ShardedQueryTableTest, MarginExpandsInstallationFootprint) {
-  const Rect world{0, 0, 1000, 1000};
-  QueryRegistry registry;
-  registry.Add(Rect{100, 100, 240, 240});  // 10 inside strip 0 with margin 0
-  ShardedQueryTable table;
-  table.Build(registry, EvenStrips(world, 4), /*margin=*/0.0);
-  EXPECT_EQ(table.TotalInstalled(), 1);
-  // A 20m margin pulls strip 1's expanded window down to x = 230 < 240, so
-  // the query must also be installed there (a node believed at x=245 could
-  // really be at 235 -- strip 1 may own the fresher model).
-  table.Build(registry, EvenStrips(world, 4), /*margin=*/20.0);
-  EXPECT_EQ(table.TotalInstalled(), 2);
-  const ShardSubQuery* at1 = table.Find(1, 0);
-  ASSERT_NE(at1, nullptr);
-  EXPECT_DOUBLE_EQ(at1->clipped.min_x, 230.0);
-  EXPECT_DOUBLE_EQ(at1->clipped.max_x, 240.0);
-}
-
-TEST(ShardedQueryTableTest, ListsAreIdSortedAndRebuildReplaces) {
-  const Rect world{0, 0, 1000, 1000};
-  QueryRegistry registry;
-  Rng rng(5);
-  for (int q = 0; q < 40; ++q) {
-    const double x0 = rng.Uniform(0.0, 900.0);
-    const double y0 = rng.Uniform(0.0, 900.0);
-    registry.Add(Rect{x0, y0, x0 + rng.Uniform(10.0, 400.0),
-                      y0 + rng.Uniform(10.0, 100.0)});
-  }
-  ShardedQueryTable table;
-  table.Build(registry, EvenStrips(world, 5), 15.0);
-  int64_t installed = 0;
-  for (int32_t k = 0; k < table.num_shards(); ++k) {
-    const auto& list = table.AtShard(k);
-    installed += static_cast<int64_t>(list.size());
-    for (size_t i = 1; i < list.size(); ++i) {
-      EXPECT_LT(list[i - 1].id, list[i].id);
-    }
-    for (const ShardSubQuery& sub : list) {
-      EXPECT_EQ(table.Find(k, sub.id), &sub);
-      // Clip is inside both the query and the expanded strip.
-      const Rect& range = registry.Get(sub.id).range;
-      EXPECT_GE(sub.clipped.min_x, range.min_x);
-      EXPECT_LE(sub.clipped.max_x, range.max_x);
-    }
-  }
-  EXPECT_EQ(table.TotalInstalled(), installed);
-  EXPECT_GE(installed, 40);
-  // Rebuilding against one giant strip collapses to one copy per query.
-  table.Build(registry, {world}, 15.0);
-  EXPECT_EQ(table.num_shards(), 1);
-  EXPECT_EQ(table.TotalInstalled(), 40);
-}
 
 TEST(MergeSortedUnionTest, UnionsDisjointAndOverlappingLists) {
   EXPECT_TRUE(MergeSortedUnion({}).empty());
